@@ -18,8 +18,7 @@ default        headline = full BFS crawl (politeness budget + skew salting,
                throughputs + efficiency = (rate32/rate8)/4 (north_rule
                N→4N criterion, sandboxed per SURVEY.md §4.6).
 --crawl        headline crawl ONLY (no queries) — the quick A/B loop for
-               control-plane changes (pair with GRAFT_FUSED_LEVELS /
-               GRAFT_FRONTIER_PARTIALS).
+               control-plane changes.
 """
 
 from __future__ import annotations
@@ -133,29 +132,12 @@ def bench_crawl() -> dict:
         small_level_rows=0,  # benchmark the fully-distributed control plane
         seen_backend="exact",
         num_seen_shards=8,
-        # levels end at durable next-frontier partials (no combine
-        # all-to-all); A/B override: GRAFT_FRONTIER_PARTIALS=0
-        frontier_partials=os.environ.get("GRAFT_FRONTIER_PARTIALS", "1") == "1",
-        # level pipelining: fuse up to W consecutive levels into one
-        # streaming execution (fixed cost paid once per window).  W=3 won
-        # the interleaved A/B at 32 CPUs (avg 45.1 s vs 45.8 at W=2,
-        # 49.8 at W=1, 55+ at W=4 — large windows stack two big levels'
-        # working sets); GRAFT_FUSED_LEVELS=1 reverts to per-level
-        fused_levels=int(os.environ.get("GRAFT_FUSED_LEVELS", "3")),
-        # adaptive window sizing: cap the ESTIMATED rows executing in one
-        # window (fused_levels becomes the cap, not the width) so tiny
-        # tail/head levels fuse wide while big mid-levels run narrow.
-        # 0/unset = static windows; A/B via GRAFT_FUSED_WINDOW_ROWS
-        fused_window_rows=(
-            int(os.environ["GRAFT_FUSED_WINDOW_ROWS"])
-            if os.environ.get("GRAFT_FUSED_WINDOW_ROWS")
-            else None
-        ),
     )
     t0 = time.time()
     eng = CrawlEngine(cfg)
     eng.run()
     dt = time.time() - t0
+    eng.close()
     n_visited = sum(m.n_scheduled for m in eng.metrics)
     n_fetched = sum(m.n_fetched for m in eng.metrics)
     shutil.rmtree(ckpt, ignore_errors=True)
@@ -185,10 +167,6 @@ def bench_level() -> dict:
         fetch_mode="partitioned",
         num_corpus_shards=CORPUS_SHARDS,
         budget=LEVEL_PAGES,  # politeness machinery on; nothing deferred
-        # same hand-off as the headline: the level ends at durable
-        # next-frontier partials (no combine all-to-all);
-        # GRAFT_FRONTIER_PARTIALS=0 reverts to the combined write
-        frontier_partials=os.environ.get("GRAFT_FRONTIER_PARTIALS", "1") == "1",
         n_buckets=32,
         small_level_rows=0,
         # GRAFT_SEEN_BACKEND=bloom|cuckoo A/Bs the approximate seen-set
@@ -217,6 +195,7 @@ def bench_level() -> dict:
     t0 = time.time()
     m = eng.process_frontier(frontier, n_frontier=LEVEL_HOSTS * LEVEL_PAGES + 1)
     dt = time.time() - t0
+    eng.close()
     shutil.rmtree(ckpt, ignore_errors=True)
     out = {
         "level_sec": round(dt, 3),

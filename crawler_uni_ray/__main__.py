@@ -127,17 +127,20 @@ def main(argv: list[str] | None = None) -> int:
             verbose=not args.quiet,
         )
         eng = CrawlEngine(cfg)
-        t0 = time.time()  # wall-clock print mirrors crawler.py:128-133
-        eng.resume() if args.resume else eng.run()
-        n_visited = len(eng.visited_depth())
-        n_links = eng.save_links_txt(args.out)
-        dt = time.time() - t0
-        print(f"Crawling completed in {dt:.2f} seconds")
-        print(f"Visited {n_visited} URLs over {len(eng.metrics)} levels")
-        print(f"Found {n_links} unique links -> {args.out}")
-        if args.warc_out:
-            n_pages = eng.export_warc(args.warc_out)
-            print(f"Exported {n_pages} pages as WARC -> {args.warc_out}")
+        try:
+            t0 = time.time()  # wall-clock print mirrors crawler.py:128-133
+            eng.resume() if args.resume else eng.run()
+            n_visited = len(eng.visited_depth())
+            n_links = eng.save_links_txt(args.out)
+            dt = time.time() - t0
+            print(f"Crawling completed in {dt:.2f} seconds")
+            print(f"Visited {n_visited} URLs over {len(eng.metrics)} levels")
+            print(f"Found {n_links} unique links -> {args.out}")
+            if args.warc_out:
+                n_pages = eng.export_warc(args.warc_out)
+                print(f"Exported {n_pages} pages as WARC -> {args.warc_out}")
+        finally:
+            eng.close()
         return 0
     finally:
         ray.shutdown()

@@ -123,81 +123,29 @@ class CrawlConfig:
     max_levels: int = 1000
     max_pages: int | None = None  # [NR] stop once ≥ this many URLs scheduled
     # (level-granular: the running level completes; every level stays durable)
-    extract_batch_size: int | None = None  # None = batch-per-block (see
-    # stages/extract_stage.py — block size is already 32 MB-bounded)
     small_level_rows: int = 50_000  # driver fast-path threshold (0 = always distributed)
-    driver_fetch_rows: int = 2000  # broadcast-mode only: fetch+extract tiny
-    # levels on the driver (same pure kernels; 0 = never)
-    level_read_blocks: int = 64  # max frontier read-back blocks; the actual
-    # target is adaptive — ~level_rows_per_block rows per block, clamped to
-    # [1, level_read_blocks].  Tail levels (hundreds of rows) otherwise run
-    # every map wave as ~90 three-row tasks and every sort with ~90
-    # partitions: pure barrier latency, no parallelism gain (the data-plane
-    # compute at that size is milliseconds)
-    level_rows_per_block: int = 1000
-    # dynamic-block-split target: extract is the dominant compute and the
-    # fetch groups emit one ~128 MB html block per corpus partition → one
-    # 60+ s extract task each (straggler-bound at high CPU counts); 32 MB
-    # splits each into ~4 tasks (A/B: ~25% faster level at 32 CPUs,
-    # neutral at 8)
-    target_block_size_mb: int = 32
     storage: str = "posix"  # durability backend (state/storage.py):
     # "posix" = rename commits on one shared filesystem; "manifest" =
     # write-then-manifest, the object-store protocol (no dir renames);
     # "fakeobj" = audited PUT/LIST/DELETE-only emulator (protocol proof)
-    fold_retrim: bool = True  # salted levels on the aligned partitioned
-    # fetch path: fold the exact per-host re-trim + seen-marking into the
-    # fetch-align groupby (one fewer all-to-all barrier per salted level;
-    # semantics ≡ the two-stage plan — test_fold_retrim_conformance).
-    # False keeps the two-stage schedule_level_fused_salted plan everywhere
-    frontier_partials: bool = False  # budgeted big levels END at the
-    # next-frontier PARTIALS (side-written combine-input rows, one part per
-    # extract task + one per deferred source) instead of running the
-    # frontier-combine all-to-all + frontier write; the NEXT level's
-    # schedule groups combine per url before ranking (a url determines its
-    # host, so a host-keyed group holds every partial of its urls — the
-    # merge is complete there; stages/schedule.py _combine_partials_group).
-    # One fewer all-to-all AND one fewer write-materialize per level; the
-    # level hand-off becomes MapReduce-style durable partial files (the
-    # deferred dir is read alongside as next-level input).  The manifest
-    # records the format per level, so mixed checkpoints (small-path
-    # levels still write combined frontiers) and resumes work
-    fused_levels: int = 1  # >1 = "level pipelining": fuse up to this many
-    # consecutive distributed levels into ONE streaming execution.  Level
-    # k+1's schedule shuffle overlaps level k's extract, and the per-level
-    # execution fixed cost (the headline floor) is paid once per WINDOW.
-    # Exactness is preserved by the all-to-all barrier chain: level k+1's
-    # schedule groupby cannot start until every level-k task — including
-    # all seen-marking and every deferred side-write — has completed, so
-    # the seen check MOVES INTO the schedule groups (in-window levels
-    # only) and stays exact.  Every level still side-writes its durable
-    # artifacts (results, deferred, frontier partials, host counts) with
-    # idempotent names; manifests commit when the window completes, so
-    # RESUME granularity becomes the window.  Requires frontier_partials +
-    # a budget + partitioned fetch; hot-host sets are window-static (stale
-    # by ≤ fused_levels-1 levels — salting is perf-only, semantics are
-    # unchanged).  max_pages is checked between windows.  Known latency
-    # cost: in-window levels always run the fully-distributed aligned plan
-    # — a frontier that collapses mid-window below small_level_rows /
-    # fetch_align_threshold cannot drop to the driver fast path or the
-    # unaligned fetch until the next window boundary (the window is ONE
-    # lazy execution; per-level sizes are unknowable inside it).  Window
-    # ENTRY is still size-aware (fused_window_rows), and the measured
-    # whole-crawl A/B (W=3 vs per-level, tails included) favors fusing.
-    fused_window_rows: int | None = None  # adaptive window sizing: when
-    # set, each window's width is chosen at entry so the ESTIMATED total
-    # frontier rows executing in one window stay under this target —
-    # ``fused_levels`` becomes the CAP, not the fixed width.  Level sizes
-    # inside a lazy window are unknowable up front, so the estimate
-    # extrapolates from the entry count with the growth ratio observed on
-    # the last completed level (clamped ×/÷8).  Rationale (r4 A/B): one
-    # execution stacking consecutive 50-70k-row levels' working sets
-    # regressed ~20% (W=4 vs W=3), while tiny tail/head levels tolerate —
-    # and want — much wider windows (the ~0.8 s/level fixed cost is the
-    # whole cost there).  None = static ``fused_levels`` windows.  Any
-    # width is semantically exact (same barrier-chain argument), so this
-    # knob is perf-only
     verbose: bool = False  # print one progress line as each level commits
+
+
+# broadcast-mode small levels up to this many scheduled rows fetch+extract
+# on the driver (same pure kernels, no Ray execution round-trip)
+DRIVER_FETCH_ROWS = 2000
+# frontier read-back blocks of a distributed level: ~LEVEL_ROWS_PER_BLOCK
+# rows per block, clamped to [1, LEVEL_READ_BLOCKS].  Tail levels (hundreds
+# of rows) otherwise run every map wave as ~90 three-row tasks and every
+# sort with ~90 partitions: pure barrier latency, no parallelism gain
+LEVEL_READ_BLOCKS = 64
+LEVEL_ROWS_PER_BLOCK = 1000
+# dynamic-block-split target: extract is the dominant compute and the
+# fetch groups emit one ~128 MB html block per corpus partition → one
+# 60+ s extract task each (straggler-bound at high CPU counts); 32 MB
+# splits each into ~4 tasks (A/B: ~25% faster level at 32 CPUs, neutral
+# at 8)
+TARGET_BLOCK_SIZE = 32 * 1024 * 1024
 
 
 @dataclass
@@ -271,7 +219,7 @@ def _bucket_seed_table(n_buckets: int) -> pa.Table:
     )
 
 
-def _deferred_partials_writer(deferred_dir: str, dedup_buckets: int, store, hc_dir=None):
+def _deferred_partials_writer(deferred_dir: str, dedup_buckets: int, store):
     """Writer handed to the fused scheduler: converts a deferred-rows table
     to combine-input partials, partitions them by the frontier-dedup
     bucket, and publishes one part per (dedup bucket, schedule bucket) —
@@ -279,13 +227,7 @@ def _deferred_partials_writer(deferred_dir: str, dedup_buckets: int, store, hc_d
     task retries.  The frontier combine reads them back per bucket; that
     read is safe because the combine sits behind a later all-to-all in the
     same execution (every schedule task, hence every side-write, completes
-    before any combine group runs).
-
-    ``hc_dir`` (frontier_partials mode only): there is no end-of-level
-    combine to count next-frontier hosts, and deferred rows ARE next-level
-    frontier input — side-write their per-host counts too (one part per
-    schedule bucket; a host hoarding deferred mass must still trip the
-    next level's hot detection)."""
+    before any combine group runs)."""
 
     def write(deferred: pa.Table, sched_bucket: int) -> None:
         from ..urlnorm import url_hash_batch
@@ -302,18 +244,6 @@ def _deferred_partials_writer(deferred_dir: str, dedup_buckets: int, store, hc_d
             store.write_part(
                 deferred_dir, f"d{int(d):05d}-s{sched_bucket:05d}.parquet", t
             )
-        if hc_dir is not None and len(part):
-            vc = part["host"].value_counts()
-            store.write_part(
-                hc_dir,
-                f"def-s{sched_bucket:05d}.parquet",
-                pa.table(
-                    {
-                        "host": pa.array(vc.index.astype(str)),
-                        "n": pa.array(vc.to_numpy(dtype=np.int64)),
-                    }
-                ),
-            )
 
     return write
 
@@ -328,127 +258,26 @@ def _host_counts_table(hosts: pd.Series) -> pa.Table:
     )
 
 
-def _make_next_partials(store, hc_dir: str | None = None, side_dir: str | None = None):
-    """Combiner over exploded in-scope outlinks → combine-input partial
-    rows (one row per distinct url per batch with its partial referrer
-    count — hub-heavy outlink batches collapse before any shuffle moves
-    rows).  Side effects, both under content-derived names (urls ∪
-    referrers uniquely identify a batch: src urls are unique per level and
-    partition the outlink rows, so two distinct batches can never produce
-    identical row sets) ⇒ idempotent under task retries:
-
-    * ``hc_dir`` — per-batch host counts (next level's hot detection in
-      partials mode; pre-combine upper bounds — only ever salt MORE hosts).
-    * ``side_dir`` (fused-window in-window levels) — ALSO durably publish
-      the partial rows themselves: they ARE the level's ``frontier_next``
-      artifact (what a resume reads), while the same rows continue
-      IN-STREAM into the next level's schedule shuffle."""
-
-    def _next_partials(t: pa.Table) -> pa.Table:
-        m = np.asarray(t["in_scope"].to_pylist(), dtype=bool)
-        t = t.filter(pa.array(m))
-        g = new_partials_pandas(
-            t["url"].to_pylist(),
-            t["host"].to_pylist(),
-            t["depth"].to_pylist(),
-            t["src_url"].to_pylist(),
-        )
-        out = pa.Table.from_pandas(
-            g, schema=_COMBINE_SCHEMA, preserve_index=False
-        ).replace_schema_metadata(None)
-        if len(g) and (hc_dir is not None or side_dir is not None):
-            import hashlib
-
-            ident = "\x00".join(g["url"].tolist() + g["discovered_from"].tolist())
-            h = hashlib.sha1(ident.encode()).hexdigest()[:20]
-            if hc_dir is not None:
-                store.write_part(hc_dir, f"p-{h}.parquet", _host_counts_table(g["host"]))
-            if side_dir is not None:
-                store.write_part(side_dir, f"f-{h}.parquet", out)
-        return out
-
-    return _next_partials
-
-
-def _window_deferred_writer(
-    deferred_dir: str, hot_ref: set, n_salts: int, n_buckets: int, store, hc_dir=None
-):
-    """Deferred writer for NON-terminal fused-window levels: parts are
-    named by the NEXT level's schedule bucket (schedule.py
-    ``window_schedule_buckets`` — the same derivation that level's
-    map-side bucketing uses) so each of its schedule groups reads exactly
-    its own files.  ``sched_bucket`` only namespaces the file name for
-    idempotency (the fold_retrim path writes under ``n_buckets + part``).
-    Host counts side-written too (deferred rows are next-frontier mass —
-    a host hoarding deferrals must still trip hot detection on resume)."""
-    from ..stages.schedule import window_schedule_buckets
-
-    def write(deferred: pa.Table, sched_bucket: int) -> None:
-        part = deferred_partials_pandas(deferred.to_pandas())
-        nb = window_schedule_buckets(
-            part["url"].to_numpy(dtype=object),
-            part["host"].to_numpy(dtype=object),
-            hot_ref,
-            n_salts,
-            n_buckets,
-        )
-        for b in np.unique(nb):
-            sub = part[nb == b]
-            t = pa.Table.from_pandas(
-                sub, schema=_COMBINE_SCHEMA, preserve_index=False
-            ).replace_schema_metadata(None)
-            store.write_part(
-                deferred_dir, f"nb{int(b):05d}-s{sched_bucket:05d}.parquet", t
-            )
-        if hc_dir is not None and len(part):
-            store.write_part(
-                hc_dir,
-                f"def-s{sched_bucket:05d}.parquet",
-                _host_counts_table(part["host"]),
-            )
-
-    return write
-
-
-def _window_combine_hook(
-    store, prev_deferred_dir: str, policy: str, hot_ref: set | None, n_salts: int, seen
-):
-    """In-group input assembly for an IN-WINDOW level (``fused_levels`` >
-    1): drop the per-bucket seed markers → inject the previous level's
-    deferred partials for this bucket (they merge per url with
-    rediscoveries, exactly like the file-fed path) → per-url combine
-    (salt/hot re-derived when salted) → drop seen urls.  Both reads are
-    exact because the schedule groupby is an all-to-all BEHIND every
-    level-k side-write and every level-k seen-mark (the deferred-partials
-    invariant); urls are bucket-disjoint, so concurrent marking by THIS
-    level's own downstream stages can never affect another group's
-    verdict.  ``hot_ref`` must be None for the unsalted kernel (no
-    __salt/__hot columns) and the window's hot set for the salted ones."""
-    from ..stages.schedule import _combine_partials_group
-
-    def hook(g: pd.DataFrame) -> pd.DataFrame:
-        bid = int(g["__bucket"].iloc[0])
-        g = g[g["__cnt"] != _SEED_CNT]
-        files = store.list_files(prev_deferred_dir, f"nb{bid:05d}-*.parquet")
-        if files:
-            extra = pd.concat(
-                [pq.read_table(f).to_pandas() for f in files], ignore_index=True
-            )
-            extra["__bucket"] = bid
-            g = pd.concat([g, extra], ignore_index=True)
-        if len(g) == 0:
-            return g
-        g = _combine_partials_group(g, policy, hot_ref, n_salts)
-        if len(g):
-            mask = ~seen.contains(g["url"].tolist())
-            g = g.loc[np.asarray(mask, dtype=bool)]
-        return g
-
-    return hook
+def _next_partials(t: pa.Table) -> pa.Table:
+    """Combiner over exploded outlinks → combine-input partial rows of the
+    in-scope ones (one row per distinct url per batch with its partial
+    referrer count — hub-heavy outlink batches collapse before any shuffle
+    moves rows)."""
+    m = np.asarray(t["in_scope"].to_pylist(), dtype=bool)
+    t = t.filter(pa.array(m))
+    g = new_partials_pandas(
+        t["url"].to_pylist(),
+        t["host"].to_pylist(),
+        t["depth"].to_pylist(),
+        t["src_url"].to_pylist(),
+    )
+    return pa.Table.from_pandas(
+        g, schema=_COMBINE_SCHEMA, preserve_index=False
+    ).replace_schema_metadata(None)
 
 
 def _hotkeys_writer(hotkeys_dir: str, store):
-    """Writer handed to the stage-1 salted scheduler (fold_retrim path):
+    """Writer handed to the stage-1 salted scheduler (folded re-trim path):
     publishes each schedule group's hot-host survivor SORT KEYS as one
     part per schedule bucket — deterministic names through
     ``store.write_part`` ⇒ idempotent under task retries.  The fetch-align
@@ -478,7 +307,7 @@ def _hot_keep_sets(files: list[str], budget: int) -> dict[str, frozenset]:
 def _pre_fetch_trim(
     store, hotkeys_dir: str, deferred_writer, seen, hot_hosts, budget, n_buckets
 ):
-    """fold_retrim: the exact per-host re-trim + seen-marking, run inside
+    """Folded re-trim: the exact per-host re-trim + seen-marking, run inside
     each fetch-align group (fetch.py ``pre_group`` hook).  A hot row
     survives iff its url is in the host's global top-``budget`` set; rows
     trimmed here are deferred — side-written under the disjoint
@@ -586,6 +415,11 @@ class CrawlEngine:
         self._robots_parsers = _build_parsers(config.robots) if config.robots else None
         self._pages_ds = None
 
+    def close(self) -> None:
+        """Release the engine's seen-shard actors (the checkpoint stays;
+        a new engine can ``resume()`` from it)."""
+        self.seen.close()
+
     @staticmethod
     def _load_corpus_dict(path: str) -> dict[str, bytes]:
         import pyarrow.dataset as pads
@@ -643,7 +477,7 @@ class CrawlEngine:
         distributed Dataset pipeline (html payloads never hit the driver)."""
         marked = seen_add(scheduled, self.seen)
         fetched = self._fetch(marked, n_rows)
-        results = extract_stage(fetched, depth=k, batch_size=self.cfg.extract_batch_size)
+        results = extract_stage(fetched, depth=k)
         return _write_atomic(self.store, results, self._lvl(k, "results"))
 
     def _results_miss_count(self, k: int) -> int:
@@ -678,7 +512,7 @@ class CrawlEngine:
         elif (
             self._fetch_mode == "broadcast"
             and self.cfg.corpus_dict is not None
-            and scheduled_tbl.num_rows <= self.cfg.driver_fetch_rows
+            and scheduled_tbl.num_rows <= DRIVER_FETCH_ROWS
         ):
             # tiny level + in-memory corpus: run the identical pure kernels
             # (extract_batch) driver-side — no Ray execution round-trip
@@ -701,6 +535,7 @@ class CrawlEngine:
 
         # next frontier = in-scope outlinks ∪ deferred, combined per url by
         # the priority policy (stages/priority.py — deterministic merge)
+        n_miss = self._results_miss_count(k)
         res = self.store.read_table(
             self._lvl(k, "results"), self.RESULTS_SCHEMA, columns=["url", "outlinks"]
         )
@@ -739,8 +574,8 @@ class CrawlEngine:
                 n_candidates=cand.num_rows,
                 n_scheduled=n_results,
                 n_deferred=deferred_tbl.num_rows,
-                n_fetched=n_results - self._results_miss_count(k),
-                n_fetch_miss=self._results_miss_count(k),
+                n_fetched=n_results - n_miss,
+                n_fetch_miss=n_miss,
                 n_outlinks=n_outlinks,
                 n_frontier_next=n_next,
                 path="small",
@@ -763,9 +598,7 @@ class CrawlEngine:
         df = t.to_pandas().groupby("host", as_index=False)["n"].sum()
         return set(df.loc[df["n"] > self.cfg.skew_threshold, "host"])
 
-    def _run_level_big(
-        self, k: int, frontier: Dataset, n_frontier: int, in_fmt: str = "combined"
-    ) -> int:
+    def _run_level_big(self, k: int, frontier: Dataset, n_frontier: int) -> int:
         """Distributed path: every control-plane stage is a Dataset op,
         FUSED into one streaming execution per level: the schedule shuffle
         streams into seen-add → fetch → extract, results are side-written
@@ -784,7 +617,7 @@ class CrawlEngine:
         # before this engine (bench/driver code) carries the defaults, so
         # override on the instance (derived datasets inherit it)
         frontier.context.op_resource_reservation_enabled = False
-        frontier.context.target_max_block_size = cfg.target_block_size_mb * 1024 * 1024
+        frontier.context.target_max_block_size = TARGET_BLOCK_SIZE
         candidates = seen_filter(frontier, self.seen)
         if self._robots_ref is not None:
             candidates = robots_filter(candidates, self._robots_ref)
@@ -797,14 +630,6 @@ class CrawlEngine:
             cfg.num_corpus_shards if self._fetch_mode == "partitioned" else cfg.n_buckets
         )
 
-        # frontier_partials: the level ENDS at durable next-frontier
-        # PARTIALS (MapReduce-style hand-off) instead of running the
-        # frontier-combine all-to-all + combined write; the next level's
-        # schedule groups do the per-url merge (schedule.py
-        # _combine_partials_group).  Requires a budget: the schedule
-        # groupby IS where partials of one url meet (a url determines its
-        # host, hence its schedule group)
-        use_partials = cfg.frontier_partials and cfg.budget is not None
         hc_dir = None
         if cfg.skew_threshold is not None:
             # side-product: per-host counts of the NEXT frontier, so the
@@ -812,8 +637,8 @@ class CrawlEngine:
             hc_dir = self._lvl(k, "host_counts")
             self.store.prepare_side_dir(hc_dir)
 
-        deferred_dir = None  # on-disk deferred partials (fused budget paths)
-        pre_group = None  # fold_retrim hook (set on the salted aligned path)
+        deferred_dir = None  # on-disk deferred partials (budgeted levels)
+        pre_group = None  # folded re-trim hook (set on the salted aligned path)
         hot = self._load_hot_hosts(k)
         if cfg.budget is None:
             scheduled = candidates
@@ -835,12 +660,7 @@ class CrawlEngine:
                 hot = set(hc.loc[hc["n"] > cfg.skew_threshold, "host"])
             deferred_dir = self._lvl(k, "deferred")
             self.store.prepare_side_dir(deferred_dir)
-            writer = _deferred_partials_writer(
-                deferred_dir,
-                dedup_buckets,
-                self.store,
-                hc_dir=hc_dir if use_partials else None,
-            )
+            writer = _deferred_partials_writer(deferred_dir, dedup_buckets, self.store)
             if not hot:
                 # skew handling off, or counts prove no host is hot: the
                 # unsalted single-execution scheduler (exact semantics,
@@ -850,12 +670,9 @@ class CrawlEngine:
                     cfg.budget,
                     writer,
                     n_buckets=cfg.n_buckets,
-                    policy=cfg.priority_policy,
                 )
-            elif (
-                cfg.fold_retrim
-                and self._fetch_mode == "partitioned"
-                and (n_frontier < 0 or n_frontier > cfg.fetch_align_threshold)
+            elif self._fetch_mode == "partitioned" and (
+                n_frontier < 0 or n_frontier > cfg.fetch_align_threshold
             ):
                 # hot hosts + the aligned partitioned fetch: stage-1 salted
                 # scheduling only, with the exact per-host re-trim (and the
@@ -873,7 +690,6 @@ class CrawlEngine:
                     n_salts=cfg.n_salts,
                     hot_hosts=hot,
                     hotkeys_writer=_hotkeys_writer(hotkeys_dir, self.store),
-                    policy=cfg.priority_policy,
                 )
                 pre_group = _pre_fetch_trim(
                     self.store,
@@ -885,9 +701,10 @@ class CrawlEngine:
                     cfg.n_buckets,
                 )
             else:
-                # hot hosts present: the salted scheduler — still ONE
-                # streaming execution (two chained in-stream groupbys,
-                # no materialize barrier; see schedule.py)
+                # hot hosts, unaligned fetch: the two-stage salted
+                # scheduler — still ONE streaming execution (two chained
+                # in-stream groupbys, no materialize barrier; see
+                # schedule.py)
                 scheduled = schedule_level_fused_salted(
                     candidates,
                     cfg.budget,
@@ -895,7 +712,6 @@ class CrawlEngine:
                     n_buckets=cfg.n_buckets,
                     n_salts=cfg.n_salts,
                     hot_hosts=hot,
-                    policy=cfg.priority_policy,
                 )
 
         results_final = self._lvl(k, "results")
@@ -913,70 +729,44 @@ class CrawlEngine:
             slim = ray.data.from_arrow(
                 self.RESULTS_SCHEMA.empty_table().select(["url", "depth", "outlinks"])
             )
-        elif pre_group is not None:
-            # fold_retrim: re-trim + seen-marking run INSIDE the aligned
-            # fetch groups (pre_group), so no separate seen_add stage
-            fetched = fetch_partitioned(
-                scheduled,
-                cfg.corpus_path,
-                cfg.num_corpus_shards,
-                align=True,
-                pre_group=pre_group,
-            )
-            results = extract_stage(
-                fetched, depth=k, batch_size=cfg.extract_batch_size
-            )
-            slim = _side_write_results(results, results_staged, self.store)
         else:
-            marked = seen_add(scheduled, self.seen)
-            # n_frontier is an upper bound on the scheduled rows — the
-            # right scale signal for the align-vs-per-batch fetch choice
-            fetched = self._fetch(marked, n_frontier)
-            results = extract_stage(
-                fetched, depth=k, batch_size=cfg.extract_batch_size
-            )
+            if pre_group is not None:
+                # re-trim + seen-marking run INSIDE the aligned fetch
+                # groups (pre_group), so no separate seen_add stage
+                fetched = fetch_partitioned(
+                    scheduled,
+                    cfg.corpus_path,
+                    cfg.num_corpus_shards,
+                    align=True,
+                    pre_group=pre_group,
+                )
+            else:
+                marked = seen_add(scheduled, self.seen)
+                # n_frontier is an upper bound on the scheduled rows — the
+                # right scale signal for the align-vs-per-batch fetch choice
+                fetched = self._fetch(marked, n_frontier)
+            results = extract_stage(fetched, depth=k)
             slim = _side_write_results(results, results_staged, self.store)
 
         outlinks = flatten_outlinks(slim, cfg.domain)
-        store = self.store  # closure capture: the seam object, not self
-
         # local pre-aggregation (combiner): one row per distinct url per
-        # batch with its partial referrer count; in partials mode (no
-        # end-of-level combine to count next-frontier hosts) it also
-        # side-writes per-batch host counts — pre-combine upper bounds,
-        # which only ever salt MORE hosts
-        next_candidates = outlinks.map_batches(
-            _make_next_partials(store, hc_dir=hc_dir if use_partials else None),
-            batch_format="pyarrow",
-        )
-        if use_partials:
-            # MapReduce-style durable hand-off: publish the combine-input
-            # partials AS the next frontier (deferred partials stay in
-            # their own committed side-dir and are read alongside by the
-            # next level — see _frontier_input).  No combine all-to-all,
-            # no bucket seeding, no combined-frontier write.
-            n_next = _write_atomic(
-                self.store, next_candidates, self._lvl(k, "frontier_next")
+        # batch with its partial referrer count
+        next_candidates = outlinks.map_batches(_next_partials, batch_format="pyarrow")
+        bucketed = add_hash_bucket(next_candidates, "url", dedup_buckets)
+        if deferred_dir is not None:
+            # seed one marker row per bucket so every combine group fires
+            # even when its only real input is on-disk deferred partials
+            bucketed = bucketed.union(
+                ray.data.from_arrow(_bucket_seed_table(dedup_buckets))
             )
-            frontier_next = next_candidates  # stats surface below
-        else:
-            n_next = None
-            bucketed = add_hash_bucket(next_candidates, "url", dedup_buckets)
-            if deferred_dir is not None:
-                # seed one marker row per bucket so every combine group
-                # fires even when its only real input is on-disk deferred
-                # partials
-                bucketed = bucketed.union(
-                    ray.data.from_arrow(_bucket_seed_table(dedup_buckets))
-                )
+        store = self.store  # closure capture: the seam object, not self
         policy = cfg.priority_policy
-        deferred_read_dir = deferred_dir
 
         def _combine(g: pd.DataFrame) -> pa.Table:
             b = int(g["__bucket"].iloc[0])
             g = g[g["__cnt"] != _SEED_CNT].drop(columns=["__bucket"])
-            if deferred_read_dir is not None:
-                files = store.list_files(deferred_read_dir, f"d{b:05d}-*.parquet")
+            if deferred_dir is not None:
+                files = store.list_files(deferred_dir, f"d{b:05d}-*.parquet")
                 if files:
                     g = pd.concat(
                         [g] + [pq.read_table(f).to_pandas() for f in files],
@@ -984,25 +774,17 @@ class CrawlEngine:
                     )
             out = combine_frontier_pandas(g, policy)
             if hc_dir is not None and len(out):
-                vc = out["host"].value_counts()
-                t = pa.table(
-                    {
-                        "host": pa.array(vc.index.astype(str)),
-                        "n": pa.array(vc.to_numpy(dtype=np.int64)),
-                    }
+                store.write_part(
+                    hc_dir, f"b{b:05d}.parquet", _host_counts_table(out["host"])
                 )
-                store.write_part(hc_dir, f"b{b:05d}.parquet", t)
             return pa.Table.from_pandas(
                 out, schema=FRONTIER_SCHEMA, preserve_index=False
             ).replace_schema_metadata(None)
 
-        if not use_partials:
-            frontier_next = bucketed.groupby("__bucket").map_groups(
-                _combine, batch_format="pandas"
-            )
-            n_next = _write_atomic(
-                self.store, frontier_next, self._lvl(k, "frontier_next")
-            )
+        frontier_next = bucketed.groupby("__bucket").map_groups(
+            _combine, batch_format="pandas"
+        )
+        n_next = _write_atomic(self.store, frontier_next, self._lvl(k, "frontier_next"))
         if os.environ.get("GRAFT_LEVEL_STATS"):
             print(f"===== level {k} stats =====\n{frontier_next.stats()}", flush=True)
         _t_main = _time.time() - _t0
@@ -1014,11 +796,6 @@ class CrawlEngine:
         n_deferred_rows = (
             self.store.count_rows(deferred_dir) if deferred_dir is not None else 0
         )
-        n_cand = n_results + n_deferred_rows
-        if use_partials:
-            # deferred partials ARE next-level frontier input in this mode
-            # (they were never merged into a combined frontier_next)
-            n_next += n_deferred_rows
         n_miss = self._results_miss_count(k)
         _t_next = _time.time() - _t0 - _t_main
         self._finish_level(
@@ -1026,7 +803,7 @@ class CrawlEngine:
             LevelMetrics(
                 level=k,
                 n_frontier=n_frontier,
-                n_candidates=n_cand,
+                n_candidates=n_results + n_deferred_rows,
                 n_scheduled=n_results,
                 n_deferred=n_deferred_rows,
                 n_fetched=n_results - n_miss,
@@ -1034,295 +811,10 @@ class CrawlEngine:
                 n_outlinks=-1,  # not separately counted on this path
                 n_frontier_next=n_next,
                 path="distributed",
-                extra={
-                    "t_main": round(_t_main, 2),
-                    "t_next": round(_t_next, 2),
-                    "frontier_format": "partials" if use_partials else "combined",
-                    # count units (ADVICE r4): in partials mode the frontier
-                    # counts are combine-input PARTIAL ROWS (pre-merge, may
-                    # exceed unique urls), not urls — downstream tooling
-                    # must not compare across formats under one name
-                    "n_frontier_unit": (
-                        "partial_rows" if in_fmt == "partials" else "urls"
-                    ),
-                    "n_frontier_next_unit": (
-                        "partial_rows" if use_partials else "urls"
-                    ),
-                },
+                extra={"t_main": round(_t_main, 2), "t_next": round(_t_next, 2)},
             ),
         )
         return n_next
-
-    def _window_size(self, k0: int, n_frontier: int) -> int:
-        """Width of the fused window starting at level ``k0`` (see
-        ``CrawlConfig.fused_window_rows``).  Static ``fused_levels`` when
-        the adaptive target is unset; otherwise the largest W ≤
-        ``fused_levels`` whose estimated cumulative frontier rows fit the
-        target (always ≥ 1 — a single over-target level still runs)."""
-        cfg = self.cfg
-        w_max = min(cfg.fused_levels, cfg.max_levels - k0)
-        target = cfg.fused_window_rows
-        if not target or w_max <= 1:
-            return w_max
-        # growth prior: with no completed-level history (cold start) assume
-        # the clamp MAX, not 1.0 — a BFS frontier grows geometrically from
-        # the seed, and extrapolating flat once fused levels 0-7 of the
-        # bench corpus into one execution on an estimate of 8 rows (real:
-        # 66.7k).  A too-high prior only narrows the first window, which a
-        # tiny head level can afford; history overrides it immediately.
-        ratio = 8.0
-        for m in reversed(self.metrics):
-            if m.n_frontier > 0 and m.n_frontier_next > 0:
-                ratio = min(8.0, max(0.125, m.n_frontier_next / m.n_frontier))
-                break
-        est = float(max(n_frontier, 1))
-        total, w = est, 1
-        while w < w_max:
-            est *= ratio
-            if total + est > target:
-                break
-            total += est
-            w += 1
-        return w
-
-    def _run_level_window(
-        self,
-        k0: int,
-        frontier: Dataset,
-        n_frontier: int,
-        in_fmt: str = "combined",
-        W: int | None = None,
-    ) -> list[int]:
-        """Fused level window ("level pipelining"): up to ``fused_levels``
-        consecutive distributed levels built as ONE streaming execution —
-        level k+1's schedule shuffle overlaps level k's extract, and the
-        per-level execution fixed cost is paid once per window.
-
-        Exactness rests on the all-to-all barrier chain: level k+1's
-        schedule groupby consumes the full output of level k's extract,
-        which transitively requires EVERY level-k task — all seen-marking
-        (``seen_add`` map tasks, or ``_pre_fetch_trim`` inside the
-        fetch-align groups) and every deferred/hotkeys side-write — to
-        have completed first.  So for in-window levels the seen check
-        moves INTO the schedule groups (``_window_combine_hook``), the
-        previous level's deferred partials are read there (parts named by
-        THIS level's bucket), and per-bucket seed markers guarantee every
-        group fires even when its only input is on-disk.
-
-        Durability is unchanged: every level still side-writes results
-        blocks, deferred partials, frontier partials and host counts under
-        idempotent names; manifests commit in level order once the window
-        completes (a crash reruns the whole window — resume granularity is
-        the window).  Hot-host sets are window-static (stale by ≤ W-1
-        levels; salting is perf-only, semantics ≡ unsalted)."""
-        import time as _time
-
-        _t0 = _time.time()
-        cfg = self.cfg
-        frontier.context.op_resource_reservation_enabled = False
-        frontier.context.target_max_block_size = cfg.target_block_size_mb * 1024 * 1024
-        if W is None:
-            W = min(cfg.fused_levels, cfg.max_levels - k0)
-        dedup_buckets = (
-            cfg.num_corpus_shards if self._fetch_mode == "partitioned" else cfg.n_buckets
-        )
-
-        hot = self._load_hot_hosts(k0)
-        if hot is None and cfg.skew_threshold is not None and (
-            n_frontier < 0 or n_frontier > cfg.skew_threshold
-        ):
-            hc = host_counts(frontier)
-            hot = set(hc.loc[hc["n"] > cfg.skew_threshold, "host"])
-        hot = hot or set()
-
-        cur = seen_filter(frontier, self.seen)
-        if self._robots_ref is not None:
-            cur = robots_filter(cur, self._robots_ref)
-
-        from ..stages.schedule import window_bucket_fn
-
-        staged_results: list[tuple[str, str]] = []
-        next_candidates = None
-        for j in range(W):
-            k = k0 + j
-            terminal = j == W - 1
-            deferred_dir = self._lvl(k, "deferred")
-            self.store.prepare_side_dir(deferred_dir)
-            hc_dir = None
-            if cfg.skew_threshold is not None:
-                hc_dir = self._lvl(k, "host_counts")
-                self.store.prepare_side_dir(hc_dir)
-            if terminal:
-                # the next level starts a NEW window: deferred consumed as
-                # plain input files (any partitioning), d-keyed as today
-                writer = _deferred_partials_writer(
-                    deferred_dir, dedup_buckets, self.store, hc_dir=hc_dir
-                )
-            else:
-                # consumed IN-GROUP by level k+1: parts named by its bucket
-                writer = _window_deferred_writer(
-                    deferred_dir, hot, cfg.n_salts, cfg.n_buckets, self.store, hc_dir
-                )
-
-            combine_hook = None
-            bucket_fn = None
-            if j > 0:
-                combine_hook = _window_combine_hook(
-                    self.store,
-                    self._lvl(k - 1, "deferred"),
-                    cfg.priority_policy,
-                    hot if hot else None,
-                    cfg.n_salts,
-                    self.seen,
-                )
-                bucket_fn = window_bucket_fn(hot, cfg.n_salts, cfg.n_buckets)
-                # seed one marker row per bucket so every schedule group
-                # fires even when its only real input is on-disk deferred
-                cur = cur.union(ray.data.from_arrow(_bucket_seed_table(cfg.n_buckets)))
-
-            pre_group = None
-            if not hot:
-                scheduled = schedule_level_fused(
-                    cur,
-                    cfg.budget,
-                    writer,
-                    n_buckets=cfg.n_buckets,
-                    policy=cfg.priority_policy,
-                    bucket_fn=bucket_fn,
-                    combine=combine_hook,
-                )
-            elif cfg.fold_retrim:
-                hotkeys_dir = self._lvl(k, f"hotkeys-{self._run_tag}")
-                self.store.prepare_side_dir(hotkeys_dir)
-                scheduled = schedule_level_fused_salted_stage1(
-                    cur,
-                    cfg.budget,
-                    writer,
-                    n_buckets=cfg.n_buckets,
-                    n_salts=cfg.n_salts,
-                    hot_hosts=hot,
-                    hotkeys_writer=_hotkeys_writer(hotkeys_dir, self.store),
-                    policy=cfg.priority_policy,
-                    bucket_fn=bucket_fn,
-                    combine=combine_hook,
-                )
-                pre_group = _pre_fetch_trim(
-                    self.store,
-                    hotkeys_dir,
-                    writer,
-                    self.seen,
-                    hot,
-                    cfg.budget,
-                    cfg.n_buckets,
-                )
-            else:
-                scheduled = schedule_level_fused_salted(
-                    cur,
-                    cfg.budget,
-                    writer,
-                    n_buckets=cfg.n_buckets,
-                    n_salts=cfg.n_salts,
-                    hot_hosts=hot,
-                    policy=cfg.priority_policy,
-                    bucket_fn=bucket_fn,
-                    combine=combine_hook,
-                )
-
-            results_final = self._lvl(k, "results")
-            results_staged = self.store.begin_dir(results_final)
-            staged_results.append((results_final, results_staged))
-            if pre_group is not None:
-                fetched = fetch_partitioned(
-                    scheduled,
-                    cfg.corpus_path,
-                    cfg.num_corpus_shards,
-                    align=True,
-                    pre_group=pre_group,
-                )
-            else:
-                marked = seen_add(scheduled, self.seen)
-                fetched = fetch_partitioned(
-                    marked, cfg.corpus_path, cfg.num_corpus_shards, align=True
-                )
-            results = extract_stage(fetched, depth=k, batch_size=cfg.extract_batch_size)
-            slim = _side_write_results(results, results_staged, self.store)
-            outlinks = flatten_outlinks(slim, cfg.domain)
-
-            if terminal:
-                next_candidates = outlinks.map_batches(
-                    _make_next_partials(self.store, hc_dir=hc_dir),
-                    batch_format="pyarrow",
-                )
-            else:
-                fn_dir = self._lvl(k, "frontier_next")
-                self.store.prepare_side_dir(fn_dir)
-                cur = outlinks.map_batches(
-                    _make_next_partials(self.store, hc_dir=hc_dir, side_dir=fn_dir),
-                    batch_format="pyarrow",
-                )
-                if self._robots_ref is not None:
-                    # same placement as a level start: the durable copy
-                    # stays pre-robots (what a resume reads + refilters)
-                    cur = robots_filter(cur, self._robots_ref)
-
-        # ONE execution materializes the whole window
-        _write_atomic(
-            self.store, next_candidates, self._lvl(k0 + W - 1, "frontier_next")
-        )
-        if os.environ.get("GRAFT_LEVEL_STATS"):
-            print(
-                f"===== window {k0}..{k0 + W - 1} stats =====\n"
-                f"{next_candidates.stats()}",
-                flush=True,
-            )
-        t_window = round(_time.time() - _t0, 2)
-
-        # commit manifests in level order; trailing never-ran levels elided
-        nexts: list[int] = []
-        nf = n_frontier
-        for j in range(W):
-            k = k0 + j
-            if nf == 0:
-                for jj in range(j, W):
-                    self.store.remove_dir(self._lvl(k0 + jj))
-                break
-            final, staged = staged_results[j]
-            self.store.commit_dir(final, staged)
-            n_results = self.store.count_rows(final)
-            n_def = self.store.count_rows(self._lvl(k, "deferred"))
-            n_next = self.store.count_rows(self._lvl(k, "frontier_next")) + n_def
-            n_miss = self._results_miss_count(k)
-            self._finish_level(
-                k,
-                LevelMetrics(
-                    level=k,
-                    n_frontier=nf,
-                    n_candidates=n_results + n_def,
-                    n_scheduled=n_results,
-                    n_deferred=n_def,
-                    n_fetched=n_results - n_miss,
-                    n_fetch_miss=n_miss,
-                    n_outlinks=-1,
-                    n_frontier_next=n_next,
-                    path="distributed",
-                    extra={
-                        "frontier_format": "partials",
-                        "fused_window": [k0, k0 + W - 1],
-                        "t_window": t_window,
-                        # count units (ADVICE r4): in-window levels are fed
-                        # partial rows; only the window head may see urls
-                        "n_frontier_unit": (
-                            "partial_rows"
-                            if (j > 0 or in_fmt == "partials")
-                            else "urls"
-                        ),
-                        "n_frontier_next_unit": "partial_rows",
-                    },
-                ),
-            )
-            nexts.append(n_next)
-            nf = n_next
-        return nexts
 
     def _finish_level(self, k: int, m: LevelMetrics) -> None:
         self.metrics.append(m)
@@ -1350,16 +842,6 @@ class CrawlEngine:
             "level": k,
             "metrics": m.__dict__,
             "partitions": lineage,
-            # how frontier_next is encoded: "combined" = one frontier row
-            # per url (FRONTIER_SCHEMA); "partials" = combine-input rows
-            # (__cnt column) whose per-url merge happens in the NEXT
-            # level's schedule groups, with the deferred dir read alongside
-            "frontier_format": m.extra.get("frontier_format", "combined"),
-            # units of the frontier counts above (ADVICE r4): partial-row
-            # counts overcount unique urls, so consumers must not compare
-            # levels across formats under one field name
-            "n_frontier_unit": m.extra.get("n_frontier_unit", "urls"),
-            "n_frontier_next_unit": m.extra.get("n_frontier_next_unit", "urls"),
         }
         self.store.write_json(self._lvl(k, "manifest.json"), manifest)
 
@@ -1382,7 +864,7 @@ class CrawlEngine:
         ctx = ray.data.DataContext.get_current()
         saved = (ctx.op_resource_reservation_enabled, ctx.target_max_block_size)
         ctx.op_resource_reservation_enabled = False
-        ctx.target_max_block_size = self.cfg.target_block_size_mb * 1024 * 1024
+        ctx.target_max_block_size = TARGET_BLOCK_SIZE
         try:
             yield
         finally:
@@ -1403,6 +885,16 @@ class CrawlEngine:
         if not done:
             return self.run()
         last = max(done)
+        with open(self._lvl(last, "manifest.json")) as f:
+            fmt = json.load(f).get("frontier_format", "combined")
+        if fmt != "combined":
+            # older engines could end a level at un-merged next-frontier
+            # partials; this engine reads only the combined frontier
+            raise ValueError(
+                f"level {last} of {self.cfg.ckpt_dir} committed its next "
+                f"frontier as {fmt!r}, a hand-off format this engine no longer "
+                "reads; start a fresh crawl with run()"
+            )
         # drop any uncommitted partial level directories
         for d in list(os.listdir(self.cfg.ckpt_dir)):
             if d.startswith("level_") and int(d.split("_")[1]) > last:
@@ -1455,103 +947,45 @@ class CrawlEngine:
                 f"seen replay incomplete: {replayed} of {total} result urls"
             )
 
-    def _frontier_input(self, k_prev: int) -> tuple[list[str], int, str]:
-        """(files, total rows, format) of level ``k_prev``'s committed
-        next-frontier.  ``format="partials"`` (frontier_partials mode)
-        means the files are combine-input rows — frontier_next parts PLUS
-        the level's deferred partials (never merged into a combined
-        frontier) — and the reader must run the per-url combine (schedule
-        groups distributed, combine_frontier_pandas on the driver path)."""
-        fmt = "combined"
-        try:
-            with open(self._lvl(k_prev, "manifest.json")) as f:
-                fmt = json.load(f).get("frontier_format", "combined")
-        except (OSError, json.JSONDecodeError):
-            pass
-        dirs = [self._lvl(k_prev, "frontier_next")]
-        if fmt == "partials":
-            dirs.append(self._lvl(k_prev, "deferred"))
-        files = [f for d in dirs for f in self.store.list_parts(d)]
-        rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        return files, rows, fmt
+    def _frontier_input(self, k_prev: int) -> tuple[list[str], int]:
+        """(files, total rows) of level ``k_prev``'s committed next frontier."""
+        files = self.store.list_parts(self._lvl(k_prev, "frontier_next"))
+        return files, sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
     def _loop(self, start: int, seed_tbl: pa.Table | None = None) -> list[LevelMetrics]:
         cfg = self.cfg
         k = start
         while k < cfg.max_levels:
             if seed_tbl is not None and k == start:
-                n_frontier, files, fmt = seed_tbl.num_rows, None, "combined"
+                n_frontier, files = seed_tbl.num_rows, None
             else:
-                files, n_frontier, fmt = self._frontier_input(k - 1)
+                files, n_frontier = self._frontier_input(k - 1)
             if n_frontier == 0:
                 break
-            if fmt == "partials" and cfg.budget is None and (
-                n_frontier > cfg.small_level_rows
-            ):
-                # the distributed per-url merge of partial rows happens in
-                # the schedule groupby, which only exists under a budget —
-                # fetching un-combined duplicate rows would be wrong.  A
-                # SMALL partials level needs no budget: the driver path
-                # below merges whole-frame via combine_frontier_pandas
-                raise ValueError(
-                    f"level {k - 1} committed frontier PARTIALS "
-                    f"({n_frontier} rows > small_level_rows="
-                    f"{cfg.small_level_rows}) but the config has no "
-                    "per-host budget — the schedule groupby is where "
-                    "partials combine; resume with the budgeted config "
-                    "that wrote this checkpoint"
-                )
             if n_frontier <= cfg.small_level_rows:
                 if files is None:
                     tbl = seed_tbl
+                elif files:
+                    tbl = pa.concat_tables(pq.read_table(f) for f in files)
                 else:
-                    tbl = (
-                        pa.concat_tables(pq.read_table(f) for f in files)
-                        if files
-                        else FRONTIER_SCHEMA.empty_table()
-                    )
-                    if fmt == "partials":
-                        # driver fast path: the per-url merge the schedule
-                        # groups would do, whole-frame (same kernel)
-                        tbl = pa.Table.from_pandas(
-                            combine_frontier_pandas(
-                                tbl.to_pandas(), cfg.priority_policy
-                            ),
-                            schema=FRONTIER_SCHEMA,
-                            preserve_index=False,
-                        ).replace_schema_metadata(None)
+                    tbl = FRONTIER_SCHEMA.empty_table()
                 n_next = self._run_level_small(k, tbl)
             else:
                 # two regimes (A/B-measured): tiny levels are pure wave
                 # latency — one block ends the 90-tiny-task waves; real
                 # levels floor at 32 blocks so the sort-partition count
                 # (which tracks input blocks) keeps fetch/extract parallel
-                rpb = max(1, cfg.level_rows_per_block)
+                rpb = LEVEL_ROWS_PER_BLOCK
                 if n_frontier < 2 * rpb:
-                    nb = max(1, -(-n_frontier // rpb))
+                    nb = -(-n_frontier // rpb)
                 else:
-                    nb = min(
-                        cfg.level_read_blocks, max(32, n_frontier // rpb)
-                    )
+                    nb = min(LEVEL_READ_BLOCKS, max(32, n_frontier // rpb))
                 ds = (
                     ray.data.from_arrow(seed_tbl)
                     if files is None
                     else ray.data.read_parquet(files, override_num_blocks=nb)
                 )
-                if (
-                    cfg.fused_levels > 1
-                    and cfg.frontier_partials
-                    and cfg.budget is not None
-                    and self._fetch_mode == "partitioned"
-                    and k + 1 < cfg.max_levels
-                ):
-                    nexts = self._run_level_window(
-                        k, ds, n_frontier, in_fmt=fmt, W=self._window_size(k, n_frontier)
-                    )
-                    n_next = nexts[-1]
-                    k += len(nexts) - 1  # the window ran len(nexts) levels
-                else:
-                    n_next = self._run_level_big(k, ds, n_frontier, in_fmt=fmt)
+                n_next = self._run_level_big(k, ds, n_frontier)
             if n_next == 0:
                 break
             if (
@@ -1650,7 +1084,8 @@ class CrawlEngine:
             for b in self.all_links_sorted().iter_batches(
                 batch_size=65536, batch_format="pyarrow"
             ):
-                for u in b["url"].to_pylist():
-                    f.write(f"{u}\n")
-                    n += 1
+                urls = b["url"].to_pylist()
+                if urls:
+                    f.write("\n".join(urls) + "\n")
+                    n += len(urls)
         return n

@@ -332,8 +332,5 @@ def fetch_partitioned(
     return (
         ds.map_batches(_bucket, batch_format="pyarrow")
         .groupby("__part")
-        # num_cpus=2: parquet read/decompress is memory-bandwidth-bound —
-        # halving reader concurrency keeps the I/O phase near its
-        # throughput peak while the CPUs run extract tasks concurrently
-        .map_groups(_fetch_group, batch_format="pyarrow", num_cpus=2)
+        .map_groups(_fetch_group, batch_format="pyarrow")
     )

@@ -25,12 +25,6 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from ..urlnorm import url_hash_batch
-from .frontier import FRONTIER_SCHEMA
-
-# what the fused schedulers emit downstream (the scheduled frontier rows);
-# used to type EMPTY groups (a fused-window combine hook may drain a group
-# entirely — everything seen / only seed markers)
-SCHEDULED_SCHEMA = FRONTIER_SCHEMA
 
 
 def host_counts(ds: Dataset, url_col: str = "url") -> pd.DataFrame:
@@ -73,48 +67,12 @@ def schedule_flags_pandas(df: pd.DataFrame, budget: int | None) -> np.ndarray:
     return _rank_within(df, ["host"]) < budget
 
 
-def _combine_partials_group(
-    g: pd.DataFrame, policy: str, hot_ref: set | None = None, n_salts: int = 8
-) -> pd.DataFrame:
-    """Frontier PARTIALS (rows carrying ``__cnt``; the
-    ``frontier_partials`` write mode, crawl.py) → one combined frontier
-    row per url, INSIDE a schedule group.  Correct because a url
-    determines its host, so a host(+salt)-keyed group holds every partial
-    of each of its urls — the per-url merge (priority.py
-    ``combine_frontier_pandas``, the same kernel the end-of-level combine
-    shuffle used) is complete here.  Helper columns are constant per url
-    and re-derived (``__hot`` from the host, ``__salt`` from the url hash,
-    ``__bucket`` is the group key).  Pass-through when the input is an
-    already-combined frontier."""
-    if "__cnt" not in g.columns:
-        return g
-    from ..stages.priority import combine_frontier_pandas
-
-    bid = int(g["__bucket"].iloc[0])
-    comb = combine_frontier_pandas(g, policy)
-    comb["__bucket"] = bid
-    if hot_ref is not None:
-        hosts = comb["host"].to_numpy(dtype=object)
-        hot = np.fromiter((h in hot_ref for h in hosts), bool, count=len(hosts))
-        salts = np.zeros(len(comb), dtype=np.int64)
-        if hot.any():
-            salts[hot] = (
-                url_hash_batch(comb["url"].to_numpy(dtype=object)[hot]) % n_salts
-            ).astype(np.int64)
-        comb["__salt"] = salts
-        comb["__hot"] = hot
-    return comb
-
-
 def schedule_level_fused(
     ds: Dataset,
     budget: int,
     deferred_writer,
     *,
     n_buckets: int = 32,
-    policy: str = "none",
-    bucket_fn=None,
-    combine=None,
 ) -> Dataset:
     """Single-execution scheduling (no hot-host salting): the per-bucket
     group op RETURNS only the scheduled rows — which flow straight into
@@ -126,14 +84,7 @@ def schedule_level_fused(
     removes the materialize + second pass the split variant pays — one
     groupby shuffle is the level's only barrier, and because the frontier
     combine sits BEHIND a later all-to-all in the same execution, every
-    side-write is durable before any combine group runs.
-
-    ``bucket_fn`` / ``combine`` (fused-window mode, crawl.py): override
-    the map-side bucketing and the in-group partials merge.  The window's
-    combine hook drops seed markers, injects the previous level's deferred
-    partials, merges per url, and applies the seen filter — it may return
-    an EMPTY frame (everything seen), which short-circuits to a typed
-    empty result."""
+    side-write is durable before any combine group runs."""
 
     def _bucket(t: pa.Table) -> pa.Table:
         hosts = t["host"].to_pylist()
@@ -145,9 +96,6 @@ def schedule_level_fused(
 
         ensure_worker_thread_limits()
         bid = int(g["__bucket"].iloc[0])
-        g = combine(g) if combine is not None else _combine_partials_group(g, policy)
-        if len(g) == 0:
-            return SCHEDULED_SCHEMA.empty_table()
         g = g.drop(columns=["__bucket"])
         rank = _rank_within(g, ["host"])
         t = from_pandas_clean(g)  # convert before filtering: keeps types on empty
@@ -158,48 +106,10 @@ def schedule_level_fused(
         return t.filter(pa.array(kept))
 
     return (
-        ds.map_batches(bucket_fn or _bucket, batch_format="pyarrow")
+        ds.map_batches(_bucket, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(_sched, batch_format="pandas")
     )
-
-
-def window_schedule_buckets(
-    urls, hosts, hot_ref: set[str], n_salts: int, n_buckets: int
-) -> np.ndarray:
-    """THE schedule-bucket derivation of fused-window mode (crawl.py):
-    ``hash(host#salt) % n_buckets`` with ``salt = url_hash % n_salts`` for
-    hot hosts, 0 otherwise.  One function shared by the window's map-side
-    bucketing AND its deferred-partials writer — the writer names each
-    deferred part by the NEXT level's bucket so that level's schedule
-    group can read exactly its own files."""
-    hosts = np.asarray(hosts, dtype=object)
-    salts = np.zeros(len(hosts), dtype=np.int64)
-    if hot_ref:
-        hot = np.fromiter((h in hot_ref for h in hosts), bool, count=len(hosts))
-        if hot.any():
-            salts[hot] = (
-                url_hash_batch(np.asarray(urls, dtype=object)[hot]) % n_salts
-            ).astype(np.int64)
-    keys = [f"{h}#{s}" for h, s in zip(hosts, salts)]
-    return (url_hash_batch(keys) % n_buckets).astype(np.int64)
-
-
-def window_bucket_fn(hot_ref: set[str], n_salts: int, n_buckets: int):
-    """Map-side bucketing for an IN-WINDOW level's partials stream.
-    Appends ONLY ``__bucket`` (salt/hot are re-derived post-combine inside
-    the group); passes through blocks that already carry ``__bucket``
-    (the per-bucket seed markers unioned in by the window builder)."""
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        if "__bucket" in t.column_names:
-            return t
-        b = window_schedule_buckets(
-            t["url"].to_pylist(), t["host"].to_pylist(), hot_ref, n_salts, n_buckets
-        )
-        return t.append_column("__bucket", pa.array(b))
-
-    return _bucket
 
 
 def _salted_bucket_fn(hot_ref: set[str], n_salts: int, n_buckets: int):
@@ -236,9 +146,6 @@ def schedule_level_fused_salted_stage1(
     n_salts: int = 8,
     hot_hosts: set[str],
     hotkeys_writer,
-    policy: str = "none",
-    bucket_fn=None,
-    combine=None,
 ) -> Dataset:
     """Stage 1 of the salted scheduler with the exact per-host re-trim
     FOLDED into the caller's fetch-align groupby — one fewer all-to-all
@@ -264,13 +171,6 @@ def schedule_level_fused_salted_stage1(
 
         ensure_worker_thread_limits()
         bid = int(g["__bucket"].iloc[0])
-        g = (
-            combine(g)
-            if combine is not None
-            else _combine_partials_group(g, policy, hot_ref, n_salts)
-        )
-        if len(g) == 0:
-            return SCHEDULED_SCHEMA.empty_table()
         rank = _rank_within(g, ["host", "__salt"])
         kept_mask = rank < budget
         hot_m = g["__hot"].to_numpy(dtype=bool)
@@ -288,7 +188,7 @@ def schedule_level_fused_salted_stage1(
         return t.filter(pa.array(kept_mask)).drop_columns(["__hot"])
 
     return (
-        ds.map_batches(bucket_fn or _bucket, batch_format="pyarrow")
+        ds.map_batches(_bucket, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(_sched, batch_format="pandas")
     )
@@ -302,9 +202,6 @@ def schedule_level_fused_salted(
     n_buckets: int = 32,
     n_salts: int = 8,
     hot_hosts: set[str],
-    policy: str = "none",
-    bucket_fn=None,
-    combine=None,
 ) -> Dataset:
     """Single-execution scheduling WITH hot-host salting: the salted
     variant of :func:`schedule_level_fused`.  Two chained in-stream
@@ -332,22 +229,11 @@ def schedule_level_fused_salted(
     hot_ref = hot_hosts
     _bucket = _salted_bucket_fn(hot_ref, n_salts, n_buckets)
 
-    _EMPTY2 = SCHEDULED_SCHEMA.append(pa.field("__hot", pa.bool_())).append(
-        pa.field("__key2", pa.int64())
-    )
-
     def _sched(g: pd.DataFrame) -> pa.Table:
         from ..util import ensure_worker_thread_limits, from_pandas_clean
 
         ensure_worker_thread_limits()
         bid = int(g["__bucket"].iloc[0])
-        g = (
-            combine(g)
-            if combine is not None
-            else _combine_partials_group(g, policy, hot_ref, n_salts)
-        )
-        if len(g) == 0:
-            return _EMPTY2.empty_table()
         rank = _rank_within(g, ["host", "__salt"])
         kept_mask = rank < budget
         hot_m = g["__hot"].to_numpy(dtype=bool)
@@ -382,7 +268,7 @@ def schedule_level_fused_salted(
         return t.filter(pa.array(keep)).drop_columns(["__hot"])
 
     return (
-        ds.map_batches(bucket_fn or _bucket, batch_format="pyarrow")
+        ds.map_batches(_bucket, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(_sched, batch_format="pandas")
         .groupby("__key2")

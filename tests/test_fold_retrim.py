@@ -1,61 +1,36 @@
-"""fold_retrim (VERDICT r3 #8): salted levels on the aligned partitioned
-fetch path fold the exact per-host re-trim + seen-marking into the
-fetch-align groupby — one fewer all-to-all barrier per salted level.
-Semantics must be EXACTLY the two-stage salted plan's: engine ≡ oracle,
-and fold ≡ no-fold run for run, for visited sets, links, and the
+"""Folded re-trim (VERDICT r3 #8): salted levels on the aligned
+partitioned fetch path fold the exact per-host re-trim + seen-marking into
+the fetch-align groupby — one fewer all-to-all barrier per salted level.
+Semantics must be EXACTLY the two-stage salted plan's (which salted levels
+at or below ``fetch_align_threshold`` run): engine ≡ oracle, and fold ≡
+two-stage run for run, for visited sets, links, and the
 deferred/scheduled accounting."""
 
 import glob
 import os
 
-import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 from crawler_uni_ray.oracle import crawl_oracle
-from crawler_uni_ray.pipelines.crawl import CrawlConfig, CrawlEngine
-from crawler_uni_ray.urlnorm import url_hash_batch
+from crawler_uni_ray.pipelines.crawl import CrawlEngine
 
-from test_random_graphs import DOMAIN, random_corpus
-
-
-def write_dict_corpus(corpus: dict, out_dir: str, num_shards: int = 4) -> str:
-    """dict → the hash(url)-partitioned parquet layout fetch_partitioned
-    reads (part_hash=NN/ dirs, url-sorted for row-group pruning)."""
-    urls = sorted(corpus)
-    tbl = pa.table(
-        {"url": pa.array(urls), "html": pa.array([corpus[u] for u in urls], pa.binary())}
-    )
-    shard = url_hash_batch(urls) % num_shards
-    for s in range(num_shards):
-        d = os.path.join(out_dir, f"part_hash={s:02d}")
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            tbl.filter(pa.array(shard == s)), os.path.join(d, "part-0.parquet")
-        )
-    return out_dir
+from test_random_graphs import (
+    DOMAIN,
+    _distributed_cfg,
+    random_corpus,
+    write_dict_corpus,
+)
 
 
-def _run(corpus_dir, ckpt, fold: bool, **kw):
-    eng = CrawlEngine(
-        CrawlConfig(
-            domain=DOMAIN,
-            ckpt_dir=ckpt,
-            corpus_path=corpus_dir,
-            fetch_mode="partitioned",
-            num_corpus_shards=4,
-            budget=2,
-            skew_threshold=1,  # every multi-candidate host goes hot
-            n_salts=4,
-            fetch_align_threshold=0,  # force the aligned fetch on every level
-            small_level_rows=0,  # distributed path only
-            priority_policy="indegree",
-            fold_retrim=fold,
-            **kw,
-        )
-    )
+def _run(corpus_dir, ckpt, **kw):
+    eng = CrawlEngine(_distributed_cfg(corpus_dir, ckpt, **kw))
     eng.run()
     return eng
+
+
+def _folded(ckpt: str) -> bool:
+    """The fold engaged: stage-1 survivor-key side-writes exist."""
+    return bool(glob.glob(os.path.join(ckpt, "level_*", "hotkeys-*")))
 
 
 @pytest.mark.parametrize("seed", [24, 48])
@@ -67,17 +42,19 @@ def test_fold_retrim_conformance(ray_session, tmp_path, seed):
         corpus, DOMAIN, max_per_host_per_level=2, priority_policy="indegree"
     )
 
-    eng = _run(corpus_dir, str(tmp_path / "fold"), fold=True)
+    eng = _run(corpus_dir, str(tmp_path / "fold"))
     assert eng.visited_depth() == oracle.visited_depth
     links = [r["url"] for r in eng.all_links_sorted().take_all()]
     assert links == oracle.sorted_links
-    # the fold actually engaged: stage-1 survivor-key side-writes exist
-    assert glob.glob(os.path.join(eng.cfg.ckpt_dir, "level_*", "hotkeys-*")), (
-        "fold_retrim path never ran — test setup no longer triggers it"
+    assert _folded(eng.cfg.ckpt_dir), (
+        "folded re-trim never ran — test setup no longer triggers it"
     )
 
-    # fold ≡ no-fold, level by level (scheduled/deferred accounting too)
-    ref = _run(corpus_dir, str(tmp_path / "nofold"), fold=False)
+    # fold ≡ two-stage, level by level (scheduled/deferred accounting too):
+    # every level is far below this threshold, so each salted level runs
+    # the unaligned fetch and the two-stage salted scheduler
+    ref = _run(corpus_dir, str(tmp_path / "nofold"), fetch_align_threshold=10_000)
+    assert not _folded(ref.cfg.ckpt_dir)
     assert ref.visited_depth() == oracle.visited_depth
     assert [
         (m.level, m.n_scheduled, m.n_deferred, m.n_frontier_next) for m in eng.metrics
@@ -95,7 +72,7 @@ def test_fold_retrim_on_manifest_backend(ray_session, tmp_path):
     oracle = crawl_oracle(
         corpus, DOMAIN, max_per_host_per_level=2, priority_policy="indegree"
     )
-    eng = _run(corpus_dir, str(tmp_path / "fold"), fold=True, storage="manifest")
+    eng = _run(corpus_dir, str(tmp_path / "fold"), storage="manifest")
     assert eng.visited_depth() == oracle.visited_depth
     links = [r["url"] for r in eng.all_links_sorted().take_all()]
     assert links == oracle.sorted_links
@@ -112,25 +89,10 @@ def test_fold_retrim_resume(ray_session, tmp_path):
         corpus, DOMAIN, max_per_host_per_level=2, priority_policy="indegree"
     )
     ckpt = str(tmp_path / "ckpt")
-    partial = _run(corpus_dir, ckpt, fold=True, max_levels=2)
+    partial = _run(corpus_dir, ckpt, max_levels=2)
     assert partial.committed_levels() == [0, 1]
 
-    resumed = CrawlEngine(
-        CrawlConfig(
-            domain=DOMAIN,
-            ckpt_dir=ckpt,
-            corpus_path=corpus_dir,
-            fetch_mode="partitioned",
-            num_corpus_shards=4,
-            budget=2,
-            skew_threshold=1,
-            n_salts=4,
-            fetch_align_threshold=0,
-            small_level_rows=0,
-            priority_policy="indegree",
-            fold_retrim=True,
-        )
-    )
+    resumed = CrawlEngine(_distributed_cfg(corpus_dir, ckpt))
     resumed.resume()
     assert resumed.visited_depth() == oracle.visited_depth
     links = [r["url"] for r in resumed.all_links_sorted().take_all()]

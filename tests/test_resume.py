@@ -133,3 +133,36 @@ def test_results_stream_consumption(ray_session, tmp_path):
         total += batch.num_rows
         saw_text = saw_text or "text" in batch.column_names
     assert total == n_scheduled and saw_text
+
+
+def test_resume_rejects_partials_checkpoint(ray_session, tiny_corpus, tmp_path):
+    """A checkpoint whose last level ended at un-merged next-frontier
+    partials (``"frontier_format": "partials"``, written by older engines)
+    cannot be resumed: resume() raises a clear error before it touches
+    the checkpoint or the seen set."""
+    import json
+    import os
+
+    import pytest
+
+    ckpt = str(tmp_path / "ckpt")
+    eng = CrawlEngine(
+        CrawlConfig(domain=DOMAIN, ckpt_dir=ckpt, corpus_dict=tiny_corpus, max_levels=2)
+    )
+    eng.run()
+    mf = os.path.join(ckpt, "level_0001", "manifest.json")
+    with open(mf) as f:
+        man = json.load(f)
+    man["frontier_format"] = "partials"
+    with open(mf, "w") as f:
+        json.dump(man, f)
+    orphan = os.path.join(ckpt, "level_0002")  # an uncommitted level dir
+    os.makedirs(orphan)
+
+    resumed = CrawlEngine(
+        CrawlConfig(domain=DOMAIN, ckpt_dir=ckpt, corpus_dict=tiny_corpus)
+    )
+    with pytest.raises(ValueError, match="'partials'.*no longer reads"):
+        resumed.resume()
+    assert resumed.seen.total_size() == 0
+    assert os.path.isdir(orphan)

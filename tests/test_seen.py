@@ -73,3 +73,23 @@ def test_cuckoo_backend_conformance(ray_session, tiny_corpus, tmp_path):
     )
     eng.run()
     assert eng.visited_depth() == oracle.visited_depth
+
+
+def test_engine_close_kills_seen_shards(ray_session, tiny_corpus, tmp_path):
+    import pytest
+    import ray
+
+    from crawler_uni_ray.pipelines.crawl import CrawlConfig, CrawlEngine
+
+    eng = CrawlEngine(
+        CrawlConfig(
+            domain="example.com", ckpt_dir=str(tmp_path / "ckpt"),
+            corpus_dict=tiny_corpus, num_seen_shards=2,
+        )
+    )
+    assert eng.seen.total_size() == 0
+    eng.close()
+    eng.close()  # idempotent
+    for shard in eng.seen.shards:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(shard.size.remote())
