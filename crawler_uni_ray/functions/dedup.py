@@ -1217,8 +1217,11 @@ def cdc_dup_chunk_stats(
     )
 
     def _bucket_partials(g: pd.DataFrame):
-        df_per_chunk = g.groupby("chunk_hash")[id_col].transform("size")
-        hit = g[df_per_chunk >= 2]
+        # _pairs dedups per batch only: a doc whose chunk rows span two
+        # blocks arrives here with repeated (doc, hash) pairs
+        g = g.drop_duplicates([id_col, "chunk_hash"])
+        docs_per_chunk = g.groupby("chunk_hash")[id_col].transform("nunique")
+        hit = g[docs_per_chunk >= 2]
         out = hit.groupby(id_col).size().rename("n_dup_chunks").reset_index()
         out["n_chunks"] = 0
         out["n_dup_chunks"] = out["n_dup_chunks"].astype("int64")

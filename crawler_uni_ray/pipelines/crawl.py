@@ -71,14 +71,7 @@ from ..stages.priority import (
     new_partials_pandas,
 )
 from ..stages.robots import _build_parsers, robots_filter, robots_mask
-from ..stages.schedule import (
-    _rank_within,
-    host_counts,
-    schedule_flags_pandas,
-    schedule_level_fused,
-    schedule_level_fused_salted,
-    schedule_level_fused_salted_stage1,
-)
+from ..stages.schedule import host_counts, schedule_flags_pandas, schedule_level_fused
 from ..stages.seen_stage import seen_add, seen_filter
 from ..state.seen import ShardedSeen
 from ..state.storage import make_storage
@@ -106,15 +99,11 @@ class CrawlConfig:
     # directives (cfg.robots) become per-host rate overrides (1/delay
     # req/s) on the fetcher's token bucket, aggregate across the pool
     # partitioned fetch: levels above this re-bucket the frontier by the
-    # corpus url-hash (ONE pruned read per partition — the scale plan);
-    # smaller levels skip that all-to-all and look up per batch (a few
-    # extra pruned reads beat a shuffle's fixed cost)
-    # align (re-bucket by the corpus url-hash before fetching) for all but
-    # tiny levels: the unaligned path batches 8192 urls per task, so a
-    # 10-50k-row level ran fetch+extract as ~5 fat fused tasks — 5-way
-    # parallelism on a 32-CPU box (measured 13.3 s vs 8.6 s aligned on a
-    # 43k-row level).  The aligned plan reads each corpus partition exactly
-    # once AND gets one task per partition.
+    # corpus url-hash first — one pruned read and one task per corpus
+    # partition (the unaligned path batches 8192 urls per task, so a
+    # 43k-row level ran fetch+extract as ~5 fat tasks: 13.3 s vs 8.6 s
+    # aligned at 32 CPUs); smaller levels skip that all-to-all and look up
+    # per batch (a few extra pruned reads beat a shuffle's fixed cost)
     fetch_align_threshold: int = 1_000
     num_corpus_shards: int = 8  # partitioning of corpus_path
     n_buckets: int = 32  # scheduling/dedup hash buckets
@@ -276,74 +265,6 @@ def _next_partials(t: pa.Table) -> pa.Table:
     ).replace_schema_metadata(None)
 
 
-def _hotkeys_writer(hotkeys_dir: str, store):
-    """Writer handed to the stage-1 salted scheduler (folded re-trim path):
-    publishes each schedule group's hot-host survivor SORT KEYS as one
-    part per schedule bucket — deterministic names through
-    ``store.write_part`` ⇒ idempotent under task retries.  The fetch-align
-    groups read the whole dir back (it is tiny: ≤ n_salts×budget key rows
-    per hot host) to reconstruct each hot host's global top-budget set;
-    that read is safe because the fetch-align groupby is a later
-    all-to-all in the same execution (the deferred-partials invariant)."""
-
-    def write(keys: pa.Table, sched_bucket: int) -> None:
-        store.write_part(hotkeys_dir, f"b{sched_bucket:05d}.parquet", keys)
-
-    return write
-
-
-def _hot_keep_sets(files: list[str], budget: int) -> dict[str, frozenset]:
-    """host → the urls in that host's GLOBAL top-``budget`` (ordered by
-    (-priority, url[, seq]) — the exact ranking the two-stage re-trim
-    applies), computed from the stage-1 survivor key files.  Built once
-    per worker process via util.cached_get."""
-    if not files:
-        return {}
-    df = pa.concat_tables(pq.read_table(f) for f in files).to_pandas()
-    kept = df.loc[_rank_within(df, ["host"]) < budget]
-    return {h: frozenset(sub["url"]) for h, sub in kept.groupby("host", sort=False)}
-
-
-def _pre_fetch_trim(
-    store, hotkeys_dir: str, deferred_writer, seen, hot_hosts, budget, n_buckets
-):
-    """Folded re-trim: the exact per-host re-trim + seen-marking, run inside
-    each fetch-align group (fetch.py ``pre_group`` hook).  A hot row
-    survives iff its url is in the host's global top-``budget`` set; rows
-    trimmed here are deferred — side-written under the disjoint
-    ``n_buckets + part`` namespace so retries stay idempotent and stage-1
-    files are never clobbered.  Seen-marking runs AFTER the trim so
-    deferred urls stay eligible next level (exactly the two-stage plan's
-    order)."""
-    from ..util import cached_get
-
-    def pre(t: pa.Table, part: int) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        hosts = np.asarray(t["host"].to_pylist(), dtype=object)
-        hot_m = np.fromiter((h in hot_hosts for h in hosts), bool, count=len(hosts))
-        if hot_m.any():
-            keep_sets = cached_get(
-                hotkeys_dir,
-                build=lambda d: _hot_keep_sets(store.list_files(d), budget),
-                key=hotkeys_dir,
-            )
-            urls = np.asarray(t["url"].to_pylist(), dtype=object)
-            keep = np.ones(len(t), dtype=bool)
-            for h in set(hosts[hot_m]):
-                idx = np.flatnonzero(hot_m & (hosts == h))
-                s = keep_sets.get(h, frozenset())
-                keep[idx] = [u in s for u in urls[idx]]
-            if not keep.all():
-                deferred_writer(t.filter(pa.array(~keep)), n_buckets + part)
-                t = t.filter(pa.array(keep))
-        if t.num_rows:
-            seen.add(t["url"].to_pylist())
-        return t
-
-    return pre
-
-
 def _side_write_results(results: Dataset, staged_dir: str, store) -> Dataset:
     """Durably write each results block (content-derived names through
     ``store.write_part`` ⇒ idempotent under retries; urls are unique per
@@ -388,13 +309,6 @@ class CrawlEngine:
     def __init__(self, config: CrawlConfig):
         self.cfg = config
         self.store = make_storage(config.storage)
-        # per-engine-run tag, embedded in the hotkeys side-dir name: the
-        # fetch groups worker-cache the keep sets keyed by dir path, so the
-        # path must be unique per run (a rerun over the same ckpt_dir in
-        # the same Ray session must never hit a stale worker cache)
-        import uuid as _uuid
-
-        self._run_tag = _uuid.uuid4().hex[:8]
         self.metrics: list[LevelMetrics] = []
         self.seen = ShardedSeen(
             num_shards=config.num_seen_shards,
@@ -638,7 +552,6 @@ class CrawlEngine:
             self.store.prepare_side_dir(hc_dir)
 
         deferred_dir = None  # on-disk deferred partials (budgeted levels)
-        pre_group = None  # folded re-trim hook (set on the salted aligned path)
         hot = self._load_hot_hosts(k)
         if cfg.budget is None:
             scheduled = candidates
@@ -661,58 +574,14 @@ class CrawlEngine:
             deferred_dir = self._lvl(k, "deferred")
             self.store.prepare_side_dir(deferred_dir)
             writer = _deferred_partials_writer(deferred_dir, dedup_buckets, self.store)
-            if not hot:
-                # skew handling off, or counts prove no host is hot: the
-                # unsalted single-execution scheduler (exact semantics,
-                # one groupby shuffle)
-                scheduled = schedule_level_fused(
-                    candidates,
-                    cfg.budget,
-                    writer,
-                    n_buckets=cfg.n_buckets,
-                )
-            elif self._fetch_mode == "partitioned" and (
-                n_frontier < 0 or n_frontier > cfg.fetch_align_threshold
-            ):
-                # hot hosts + the aligned partitioned fetch: stage-1 salted
-                # scheduling only, with the exact per-host re-trim (and the
-                # seen-marking) FOLDED into the fetch-align groupby below —
-                # one fewer all-to-all barrier per salted level.  The
-                # align predicate mirrors _fetch's align choice exactly:
-                # pre_group needs the groupby barrier for its key reads
-                hotkeys_dir = self._lvl(k, f"hotkeys-{self._run_tag}")
-                self.store.prepare_side_dir(hotkeys_dir)
-                scheduled = schedule_level_fused_salted_stage1(
-                    candidates,
-                    cfg.budget,
-                    writer,
-                    n_buckets=cfg.n_buckets,
-                    n_salts=cfg.n_salts,
-                    hot_hosts=hot,
-                    hotkeys_writer=_hotkeys_writer(hotkeys_dir, self.store),
-                )
-                pre_group = _pre_fetch_trim(
-                    self.store,
-                    hotkeys_dir,
-                    writer,
-                    self.seen,
-                    hot,
-                    cfg.budget,
-                    cfg.n_buckets,
-                )
-            else:
-                # hot hosts, unaligned fetch: the two-stage salted
-                # scheduler — still ONE streaming execution (two chained
-                # in-stream groupbys, no materialize barrier; see
-                # schedule.py)
-                scheduled = schedule_level_fused_salted(
-                    candidates,
-                    cfg.budget,
-                    writer,
-                    n_buckets=cfg.n_buckets,
-                    n_salts=cfg.n_salts,
-                    hot_hosts=hot,
-                )
+            scheduled = schedule_level_fused(
+                candidates,
+                cfg.budget,
+                writer,
+                n_buckets=cfg.n_buckets,
+                n_salts=cfg.n_salts,
+                hot_hosts=hot or set(),
+            )
 
         results_final = self._lvl(k, "results")
         results_staged = self.store.begin_dir(results_final)
@@ -730,21 +599,10 @@ class CrawlEngine:
                 self.RESULTS_SCHEMA.empty_table().select(["url", "depth", "outlinks"])
             )
         else:
-            if pre_group is not None:
-                # re-trim + seen-marking run INSIDE the aligned fetch
-                # groups (pre_group), so no separate seen_add stage
-                fetched = fetch_partitioned(
-                    scheduled,
-                    cfg.corpus_path,
-                    cfg.num_corpus_shards,
-                    align=True,
-                    pre_group=pre_group,
-                )
-            else:
-                marked = seen_add(scheduled, self.seen)
-                # n_frontier is an upper bound on the scheduled rows — the
-                # right scale signal for the align-vs-per-batch fetch choice
-                fetched = self._fetch(marked, n_frontier)
+            marked = seen_add(scheduled, self.seen)
+            # n_frontier is an upper bound on the scheduled rows — the
+            # right scale signal for the align-vs-per-batch fetch choice
+            fetched = self._fetch(marked, n_frontier)
             results = extract_stage(fetched, depth=k)
             slim = _side_write_results(results, results_staged, self.store)
 
@@ -785,8 +643,6 @@ class CrawlEngine:
             _combine, batch_format="pandas"
         )
         n_next = _write_atomic(self.store, frontier_next, self._lvl(k, "frontier_next"))
-        if os.environ.get("GRAFT_LEVEL_STATS"):
-            print(f"===== level {k} stats =====\n{frontier_next.stats()}", flush=True)
         _t_main = _time.time() - _t0
 
         # the big execution is done: commit the side-written results dir

@@ -4,10 +4,9 @@ stage is a named, independently-testable, replaceable ``Step``.
 
 A ``Step`` is anything with ``apply(ds: Dataset) -> Dataset``; UDF hooks
 are plain ``map_batches`` callables wrapped by :class:`BatchStep`.
-``Pipeline`` composes steps left-to-right and is itself a Step.  The crawl
-loop's canonical per-level chain is exposed by :func:`crawl_level_steps`
-so users can insert/replace stages (e.g. a custom quality filter between
-robots gating and scheduling).
+``Pipeline`` composes steps left-to-right and is itself a Step; named
+steps can be replaced or have new steps inserted after them (e.g. a
+custom quality filter ahead of a scheduling step).
 """
 
 from __future__ import annotations
@@ -76,31 +75,3 @@ class Pipeline:
             if s.name == name:
                 out.append(step)
         return Pipeline(self.name, out)
-
-
-def crawl_level_steps(engine, budget=None) -> Pipeline:
-    """The canonical per-level chain as named steps (mirrors
-    CrawlEngine._run_level_big): canonicalize/scope live inside extract
-    (outlinks are cleaned at emission); seen/robots/schedule here."""
-    from ..stages.robots import robots_filter
-    from ..stages.schedule import schedule_level
-    from ..stages.seen_stage import seen_filter
-
-    steps = [FnStep("seen-filter", lambda ds: seen_filter(ds, engine.seen))]
-    if engine._robots_ref is not None:
-        steps.append(
-            FnStep("robots-gate", lambda ds: robots_filter(ds, engine._robots_ref))
-        )
-    steps.append(
-        FnStep(
-            "schedule",
-            lambda ds: schedule_level(
-                ds,
-                budget if budget is not None else engine.cfg.budget,
-                n_buckets=engine.cfg.n_buckets,
-                n_salts=engine.cfg.n_salts,
-                skew_threshold=engine.cfg.skew_threshold,
-            ),
-        )
-    )
-    return Pipeline("crawl-level", steps)

@@ -290,7 +290,7 @@ def _fetch_batch(t: pa.Table, corpus_path: str, num_shards: int) -> pa.Table:
 
 
 def fetch_partitioned(
-    ds: Dataset, corpus_path: str, num_shards: int, align: bool = True, pre_group=None
+    ds: Dataset, corpus_path: str, num_shards: int, align: bool = True
 ) -> Dataset:
     """Look the frontier up in the hash(url)-partitioned corpus.
 
@@ -299,16 +299,8 @@ def fetch_partitioned(
     exactly ONE pruned read per corpus partition per level.  Fetch I/O
     becomes ∝ corpus-partitions-touched, never url-batch × partition.
     ``align=False`` skips the shuffle and looks up per batch — right when
-    the input is already partition-aligned or tiny.
-
-    ``pre_group(table, part) -> table`` (aligned path only) is called on
-    each group BEFORE the corpus lookup — the crawl engine uses it to fold
-    the salted scheduler's exact re-trim + seen-marking into this groupby
-    (one fewer all-to-all per salted level).  Because the groupby is an
-    all-to-all, every upstream side-write is durable before any
-    ``pre_group`` call runs."""
+    the input is already partition-aligned or tiny."""
     if not align:
-        assert pre_group is None, "pre_group needs the aligned groupby barrier"
         return ds.map_batches(
             lambda t: _fetch_batch(t, corpus_path, num_shards),
             batch_format="pyarrow",
@@ -320,13 +312,8 @@ def fetch_partitioned(
         return t.append_column("__part", pa.array(b))
 
     def _fetch_group(t: pa.Table) -> pa.Table:
-        part = -1
         if "__part" in t.column_names:
-            if t.num_rows:
-                part = int(t["__part"][0].as_py())
             t = t.drop_columns(["__part"])
-        if pre_group is not None:
-            t = pre_group(t, part)
         return _fetch_batch(t, corpus_path, num_shards)
 
     return (

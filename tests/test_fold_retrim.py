@@ -1,10 +1,11 @@
-"""Folded re-trim (VERDICT r3 #8): salted levels on the aligned
-partitioned fetch path fold the exact per-host re-trim + seen-marking into
-the fetch-align groupby — one fewer all-to-all barrier per salted level.
-Semantics must be EXACTLY the two-stage salted plan's (which salted levels
-at or below ``fetch_align_threshold`` run): engine ≡ oracle, and fold ≡
-two-stage run for run, for visited sets, links, and the
-deferred/scheduled accounting."""
+"""Salted levels on the partitioned fetch: the aligned fetch (every level
+above ``fetch_align_threshold=0`` re-buckets by the corpus url-hash) must
+leave the salted scheduler's results and accounting exactly as the
+unaligned per-batch fetch does: engine ≡ oracle, and aligned ≡ unaligned
+run for run, for visited sets, links and the level-by-level
+scheduled/deferred/next accounting.  The exact per-host re-trim runs in
+the scheduler's own second groupby; no side-dir of survivor keys
+(``hotkeys-*``) is written."""
 
 import glob
 import os
@@ -29,8 +30,15 @@ def _run(corpus_dir, ckpt, **kw):
 
 
 def _folded(ckpt: str) -> bool:
-    """The fold engaged: stage-1 survivor-key side-writes exist."""
+    """Survivor-key side-dirs of a re-trim folded into the fetch exist."""
     return bool(glob.glob(os.path.join(ckpt, "level_*", "hotkeys-*")))
+
+
+def _retrimmed(ckpt: str, n_buckets: int) -> bool:
+    """The scheduler's exact re-trim deferred rows: deferred parts under
+    the ``n_buckets + bucket`` namespace exist."""
+    parts = glob.glob(os.path.join(ckpt, "level_*", "deferred", "d*-s*.parquet"))
+    return any(int(p.rsplit("-s", 1)[1].split(".")[0]) >= n_buckets for p in parts)
 
 
 @pytest.mark.parametrize("seed", [24, 48])
@@ -42,18 +50,19 @@ def test_fold_retrim_conformance(ray_session, tmp_path, seed):
         corpus, DOMAIN, max_per_host_per_level=2, priority_policy="indegree"
     )
 
-    eng = _run(corpus_dir, str(tmp_path / "fold"))
+    eng = _run(corpus_dir, str(tmp_path / "aligned"))
     assert eng.visited_depth() == oracle.visited_depth
     links = [r["url"] for r in eng.all_links_sorted().take_all()]
     assert links == oracle.sorted_links
-    assert _folded(eng.cfg.ckpt_dir), (
-        "folded re-trim never ran — test setup no longer triggers it"
+    assert not _folded(eng.cfg.ckpt_dir)
+    assert _retrimmed(eng.cfg.ckpt_dir, eng.cfg.n_buckets), (
+        "the salted re-trim never deferred a row — test setup no longer salts"
     )
 
-    # fold ≡ two-stage, level by level (scheduled/deferred accounting too):
-    # every level is far below this threshold, so each salted level runs
-    # the unaligned fetch and the two-stage salted scheduler
-    ref = _run(corpus_dir, str(tmp_path / "nofold"), fetch_align_threshold=10_000)
+    # aligned ≡ unaligned, level by level (scheduled/deferred accounting
+    # too): every level is far below this threshold, so each level runs
+    # the per-batch fetch
+    ref = _run(corpus_dir, str(tmp_path / "unaligned"), fetch_align_threshold=10_000)
     assert not _folded(ref.cfg.ckpt_dir)
     assert ref.visited_depth() == oracle.visited_depth
     assert [
@@ -64,24 +73,25 @@ def test_fold_retrim_conformance(ray_session, tmp_path, seed):
 
 
 def test_fold_retrim_on_manifest_backend(ray_session, tmp_path):
-    """The fold's side-writes (hotkeys + trimmed-deferred) must hold on the
-    object-store manifest backend too."""
+    """The salted scheduler's deferred side-writes of both groupbys
+    (stage-1 and re-trim namespaces) must hold on the object-store
+    manifest backend too, with the aligned fetch."""
     corpus = random_corpus(27, n_urls=60)
     corpus_dir = str(tmp_path / "corpus")
     write_dict_corpus(corpus, corpus_dir, num_shards=4)
     oracle = crawl_oracle(
         corpus, DOMAIN, max_per_host_per_level=2, priority_policy="indegree"
     )
-    eng = _run(corpus_dir, str(tmp_path / "fold"), storage="manifest")
+    eng = _run(corpus_dir, str(tmp_path / "aligned"), storage="manifest")
     assert eng.visited_depth() == oracle.visited_depth
     links = [r["url"] for r in eng.all_links_sorted().take_all()]
     assert links == oracle.sorted_links
 
 
 def test_fold_retrim_resume(ray_session, tmp_path):
-    """Kill after two levels mid-crawl, resume with a FRESH engine (new run
-    tag): the folded levels' commit records gate exactly as before, and the
-    resumed run's trim reads ITS OWN hotkeys dirs, never the dead run's."""
+    """Kill after two levels mid-crawl, resume with a FRESH engine: the
+    salted, aligned levels' commit records gate the restart, and the
+    resumed crawl matches the oracle."""
     corpus = random_corpus(56, n_urls=60)
     corpus_dir = str(tmp_path / "corpus")
     write_dict_corpus(corpus, corpus_dir, num_shards=4)

@@ -868,6 +868,37 @@ def test_cdc_cuts_property_random_bytes():
             assert min_size <= b - a <= max_size
 
 
+def test_cdc_dup_chunk_stats_independent_of_block_split(ray_session):
+    """A chunk repeated inside ONE doc is not a cross-doc duplicate, even
+    when that doc's chunk rows are split over several blocks (small
+    ``target_max_block_size``): doc 0 repeats one 300-char block 3,000
+    times, doc 1 is random text, and no chunk is shared between them."""
+    import random
+
+    import ray.data
+    from ray.data import DataContext
+
+    rng = random.Random(5)
+    block = "".join(rng.choice("abcdefghij klmnop") for _ in range(300))
+    noise = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz ") for _ in range(20_000))
+    df = pd.DataFrame({"doc_id": [0, 1], "text": [block * 3000, noise]})
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 64 * 1024
+    try:
+        got = (
+            fdedup.cdc_dup_chunk_stats(ray.data.from_pandas(df))
+            .to_pandas()
+            .sort_values("doc_id")
+            .reset_index(drop=True)
+        )
+    finally:
+        ctx.target_max_block_size = saved
+    assert got["doc_id"].tolist() == [0, 1]
+    assert got.loc[0, "n_chunks"] > 1000  # doc 0's chunk rows span blocks
+    assert got["n_dup_chunks"].tolist() == [0, 0]
+
+
 def test_collocation_partials_match_counter():
     """Property: the per-batch bigram/unigram partial counts equal plain
     Counter counts over the same texts (pure kernel check via a one-block
