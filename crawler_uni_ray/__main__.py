@@ -1,7 +1,7 @@
 """Runnable CLI mirroring the reference's ``main()``
 (/root/reference/crawler.py:111-135): domain in → BFS crawl → sorted
 unique ``links.txt`` out — on the Ray-Data engine, with the [NR] knobs
-(politeness budget, priority policy, resume, fetch modes) exposed.
+(politeness budget, priority policy, resume, fetch mode) exposed.
 
     python -m crawler_uni_ray --domain example.com \
         --corpus /path/to/part_hash_dirs --ckpt /tmp/ckpt --out links.txt
@@ -13,6 +13,7 @@ CLAUDE.md); the driver/bench/pytest entry points never import it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from urllib.parse import urlparse
@@ -24,13 +25,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ray-Data BFS crawl: domain in, sorted links.txt out.",
     )
     p.add_argument("--domain", required=True, help="crawl scope (scheme stripped)")
-    p.add_argument("--corpus", help="pages parquet (part_hash=NN dirs or flat)")
+    p.add_argument(
+        "--corpus",
+        help="pages parquet: a dir of part_hash=NN dirs, or flat parquet "
+        "(a file or a dir of files), converted once into <ckpt>.corpus",
+    )
     p.add_argument("--ckpt", required=True, help="checkpoint dir (durable levels)")
     p.add_argument("--out", default="links.txt", help="links artifact path")
     p.add_argument(
         "--fetch-mode",
         default="auto",
-        choices=["auto", "broadcast", "join", "partitioned", "http"],
+        choices=["auto", "partitioned", "http"],
     )
     p.add_argument("--num-corpus-shards", type=int, default=8)
     p.add_argument("--budget", type=int, help="per-host fetches per level")
@@ -51,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ingest-warc", nargs="*", metavar="PATH",
-        help="WARC archive files to ingest into <ckpt>/warc_corpus as the "
-        "crawl corpus (implies --fetch-mode partitioned when --corpus is unset)",
+        help="WARC archive files to ingest into <ckpt>.warc_corpus, the "
+        "crawl corpus when --corpus is unset",
     )
     p.add_argument(
         "--warc-out", metavar="DIR",
@@ -78,32 +83,42 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    import ray
+    import ray.data
 
     if not ray.is_initialized():
         kw = {"num_cpus": args.num_cpus} if args.num_cpus else {}
         ray.init(address="local", include_dashboard=False, logging_level="ERROR", **kw)
     try:
         from .pipelines.crawl import CrawlConfig, CrawlEngine
+        from .sources.pages import (
+            corpus_fetch_fn,
+            is_partitioned_corpus,
+            pages_to_corpus_parquet,
+        )
 
+        # converted corpora go to SIBLINGS of the ckpt dir — run() wipes
+        # ckpt itself
         if args.ingest_warc:
-            import os
-
             from .sources.warc import warc_to_corpus_parquet
 
-            # SIBLING of the ckpt dir — run() wipes ckpt itself
             corpus_dir = args.ckpt.rstrip("/") + ".warc_corpus"
             warc_to_corpus_parquet(
                 args.ingest_warc, corpus_dir, num_shards=args.num_corpus_shards
             )
-            if not args.corpus:
-                args.corpus = corpus_dir
-                if args.fetch_mode == "auto":
-                    args.fetch_mode = "partitioned"
+            args.corpus = args.corpus or corpus_dir
+        if args.corpus and not is_partitioned_corpus(args.corpus):
+            # flat pages parquet → the part_hash=NN layout the partitioned
+            # fetch and the sitemap lookup read, once per run
+            flat = ray.data.read_parquet(args.corpus, columns=["url", "html"])
+            args.corpus = pages_to_corpus_parquet(
+                flat,
+                args.ckpt.rstrip("/") + ".corpus",
+                args.num_corpus_shards,
+                sum(os.path.getsize(f) for f in flat.input_files()),
+            )
 
         seeds = args.seeds or None
         if args.sitemap:
-            from .sources.pages import corpus_fetch_fn
             from .sources.sitemap import expand_sitemaps
 
             fetch = corpus_fetch_fn(args.corpus, args.num_corpus_shards)

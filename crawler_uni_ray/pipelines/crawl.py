@@ -22,7 +22,7 @@ stored ``frontier_next``.  The reference's broken SIGINT partial save
 (crawler.py:104-109 calls an undefined ``stop()``) is subsumed: every
 completed level is durable.
 
-Two physical paths per level, SAME semantics (shared pure kernels:
+Two control-plane paths per level, SAME semantics (shared pure kernels:
 schedule_flags_pandas, robots_mask, the seen RPC interface):
 
 * **distributed** (``n_frontier > small_level_rows``): the control-plane
@@ -31,9 +31,14 @@ schedule_flags_pandas, robots_mask, the seen RPC interface):
 * **small-level fast path**: a BFS frontier level that fits comfortably on
   the driver (default ≤ 50k rows — seeds, crawl tails, test corpora) runs
   its control plane as vectorized driver-side Arrow/pandas + batched actor
-  RPCs, avoiding several fixed-cost Ray executions per level.  Fetch +
-  extract — the payload-heavy data plane — stays a distributed Dataset
-  pipeline in BOTH paths (html never transits the driver).
+  RPCs, avoiding several fixed-cost Ray executions per level.
+
+The data plane — mark-seen → fetch → extract → results write — is the
+same distributed Dataset pipeline in BOTH paths (html never transits the
+driver), with exactly one fetch per corpus source: an in-memory
+``corpus_dict`` → ``broadcast``, a ``part_hash=NN/`` Parquet dir →
+``partitioned``, the live web → ``http`` (stages/fetch.py).  The mode is
+resolved and checked once, when the engine is built.
 
 Checkpoint layout::
 
@@ -63,7 +68,8 @@ from ray.data import Dataset
 
 from ..ops import add_hash_bucket, dedup_exact
 from ..stages.extract_stage import extract_stage, flatten_outlinks
-from ..stages.fetch import fetch_broadcast, fetch_http, fetch_join, fetch_partitioned
+from ..sources.pages import is_partitioned_corpus
+from ..stages.fetch import fetch_broadcast, fetch_http, fetch_partitioned
 from ..stages.frontier import FRONTIER_SCHEMA, frontier_table
 from ..stages.priority import (
     combine_frontier_pandas,
@@ -73,7 +79,7 @@ from ..stages.priority import (
 from ..stages.robots import _build_parsers, robots_filter, robots_mask
 from ..stages.schedule import host_counts, schedule_flags_pandas, schedule_level_fused
 from ..stages.seen_stage import seen_add, seen_filter
-from ..state.seen import ShardedSeen
+from ..state.seen import SHARD_CPUS, ShardedSeen
 from ..state.storage import make_storage
 from ..urlnorm import hosts_batch_cleaned
 
@@ -91,7 +97,10 @@ class CrawlConfig:
     seen_backend: str = "exact"  # "exact" | "bloom"
     num_seen_shards: int = 4
     bloom_bits: int = 1 << 24
-    fetch_mode: str = "auto"  # auto | broadcast | join | partitioned | http
+    # one fetch per corpus source: "broadcast" (corpus_dict),
+    # "partitioned" (corpus_path of part_hash=NN dirs), "http" (live web);
+    # "auto" picks broadcast for corpus_dict, else partitioned
+    fetch_mode: str = "auto"
     http_timeout: float = 10.0  # http mode: per-request timeout (crawler.py:30)
     http_concurrency: int | tuple = (1, 4)  # http mode: fetch actor pool size
     http_rate_per_host: float | None = None  # http mode: wall-clock req/s per host
@@ -120,9 +129,6 @@ class CrawlConfig:
     verbose: bool = False  # print one progress line as each level commits
 
 
-# broadcast-mode small levels up to this many scheduled rows fetch+extract
-# on the driver (same pure kernels, no Ray execution round-trip)
-DRIVER_FETCH_ROWS = 2000
 # frontier read-back blocks of a distributed level: ~LEVEL_ROWS_PER_BLOCK
 # rows per block, clamped to [1, LEVEL_READ_BLOCKS].  Tail levels (hundreds
 # of rows) otherwise run every map wave as ~90 three-row tasks and every
@@ -284,6 +290,41 @@ def _side_write_results(results: Dataset, staged_dir: str, store) -> Dataset:
     return results.map_batches(_w, batch_format="pyarrow", batch_size=None)
 
 
+def _resolve_fetch_mode(cfg: CrawlConfig) -> str:
+    """The one fetch path for the config's corpus source: ``corpus_dict``
+    → broadcast, a ``part_hash=NN/`` Parquet dir → partitioned, the live
+    web → http.  Raises when the named source is missing."""
+    mode = cfg.fetch_mode
+    if mode == "auto":
+        if cfg.corpus_dict is not None:
+            mode = "broadcast"
+        elif cfg.corpus_path is not None:
+            mode = "partitioned"
+        else:
+            raise ValueError(
+                "fetch_mode='auto' needs a corpus_dict or a corpus_path; "
+                "pass fetch_mode='http' to fetch from the live web"
+            )
+    if mode == "broadcast" and cfg.corpus_dict is None:
+        raise ValueError("fetch_mode='broadcast' needs a corpus_dict")
+    # a corpus_path that does not exist yet passes: a caller may write the
+    # corpus after building the engine (crawlbench's set-up does)
+    path = cfg.corpus_path
+    if mode == "partitioned" and (
+        path is None or (os.path.exists(path) and not is_partitioned_corpus(path))
+    ):
+        raise ValueError(
+            "fetch_mode='partitioned' needs a corpus_path of part_hash=NN "
+            f"dirs, got {path!r} (convert flat pages parquet with "
+            "sources.pages.pages_to_corpus_parquet)"
+        )
+    if mode not in ("broadcast", "partitioned", "http"):
+        raise ValueError(
+            f"fetch_mode must be auto, broadcast, partitioned or http: {mode!r}"
+        )
+    return mode
+
+
 class CrawlEngine:
     RESULTS_SCHEMA = pa.schema(
         [
@@ -308,6 +349,18 @@ class CrawlEngine:
 
     def __init__(self, config: CrawlConfig):
         self.cfg = config
+        # both checks run before any shard actor exists: a bad config
+        # fails here, not inside a Ray task mid-level (or as a hang)
+        self._fetch_mode = _resolve_fetch_mode(config)
+        cpus = ray.cluster_resources().get("CPU", 0)
+        reserved = SHARD_CPUS * config.num_seen_shards
+        if cpus - reserved < 1:
+            raise ValueError(
+                f"{config.num_seen_shards} seen shards reserve {reserved:g} of "
+                f"the session's {cpus:g} CPUs, leaving less than the 1 CPU "
+                "every Ray Data task needs (the crawl would hang); lower "
+                "num_seen_shards or start Ray with more CPUs"
+            )
         self.store = make_storage(config.storage)
         self.metrics: list[LevelMetrics] = []
         self.seen = ShardedSeen(
@@ -315,31 +368,16 @@ class CrawlEngine:
             backend=config.seen_backend,
             n_bits=config.bloom_bits,
         )
-        self._corpus_ref = None
-        mode = config.fetch_mode
-        if mode == "auto":
-            mode = "broadcast" if config.corpus_dict is not None else "partitioned"
-        self._fetch_mode = mode
-        if mode == "broadcast":
-            corpus = config.corpus_dict
-            if corpus is None:
-                corpus = self._load_corpus_dict(config.corpus_path)
-            self._corpus_ref = ray.put(corpus)
+        self._corpus_ref = (
+            ray.put(config.corpus_dict) if self._fetch_mode == "broadcast" else None
+        )
         self._robots_ref = ray.put(config.robots) if config.robots else None
         self._robots_parsers = _build_parsers(config.robots) if config.robots else None
-        self._pages_ds = None
 
     def close(self) -> None:
         """Release the engine's seen-shard actors (the checkpoint stays;
         a new engine can ``resume()`` from it)."""
         self.seen.close()
-
-    @staticmethod
-    def _load_corpus_dict(path: str) -> dict[str, bytes]:
-        import pyarrow.dataset as pads
-
-        tbl = pads.dataset(path).to_table(columns=["url", "html"])
-        return dict(zip(tbl["url"].to_pylist(), tbl["html"].to_pylist()))
 
     # ----------------------------------------------------------- ckpt paths
     def _lvl(self, k: int, name: str = "") -> str:
@@ -375,12 +413,6 @@ class CrawlEngine:
                 rate_per_host=self.cfg.http_rate_per_host,
                 host_rates=host_rates,
             )
-        if self._fetch_mode == "join":
-            if self._pages_ds is None:
-                self._pages_ds = ray.data.read_parquet(
-                    self.cfg.corpus_path, columns=["url", "html"]
-                )
-            return fetch_join(scheduled, self._pages_ds, num_partitions=self.cfg.n_buckets)
         align = n_rows < 0 or n_rows > self.cfg.fetch_align_threshold
         return fetch_partitioned(
             scheduled, self.cfg.corpus_path, self.cfg.num_corpus_shards, align=align
@@ -394,12 +426,15 @@ class CrawlEngine:
         results = extract_stage(fetched, depth=k)
         return _write_atomic(self.store, results, self._lvl(k, "results"))
 
-    def _results_miss_count(self, k: int) -> int:
-        n_miss = 0
+    def _results_counts(self, k: int) -> tuple[int, int]:
+        """(fetch misses, outlinks) of level ``k``'s committed results —
+        one read of two int columns."""
+        n_miss = n_outlinks = 0
         for f in self.store.list_parts(self._lvl(k, "results")):
-            t = pq.read_table(f, columns=["fetch_status"])
-            n_miss += t.num_rows - int(pa.compute.sum(t["fetch_status"]).as_py() or 0)
-        return n_miss
+            t = pq.read_table(f, columns=["fetch_status", "n_outlinks"])
+            n_miss += t.num_rows - int(pc.sum(t["fetch_status"]).as_py() or 0)
+            n_outlinks += int(pc.sum(t["n_outlinks"]).as_py() or 0)
+        return n_miss, n_outlinks
 
     # ----------------------------------------------------------- level step
     def _run_level_small(self, k: int, frontier_tbl: pa.Table) -> int:
@@ -423,25 +458,6 @@ class CrawlEngine:
             n_results = _write_atomic_table(
                 self.store, self.RESULTS_SCHEMA.empty_table(), self._lvl(k, "results")
             )
-        elif (
-            self._fetch_mode == "broadcast"
-            and self.cfg.corpus_dict is not None
-            and scheduled_tbl.num_rows <= DRIVER_FETCH_ROWS
-        ):
-            # tiny level + in-memory corpus: run the identical pure kernels
-            # (extract_batch) driver-side — no Ray execution round-trip
-            from ..stages.extract_stage import extract_batch
-
-            self.seen.add(scheduled_tbl["url"].to_pylist())
-            corpus = self.cfg.corpus_dict
-            htmls = [corpus.get(u) for u in scheduled_tbl["url"].to_pylist()]
-            fetched = pa.array([h is not None for h in htmls])
-            inp = scheduled_tbl.append_column(
-                "html", pa.array(htmls, pa.binary())
-            ).append_column("fetched", fetched)
-            n_results = _write_atomic_table(
-                self.store, extract_batch(inp, depth=k), self._lvl(k, "results")
-            )
         else:
             n_results = self._fetch_extract_write(
                 ray.data.from_arrow(scheduled_tbl), k, scheduled_tbl.num_rows
@@ -449,7 +465,7 @@ class CrawlEngine:
 
         # next frontier = in-scope outlinks ∪ deferred, combined per url by
         # the priority policy (stages/priority.py — deterministic merge)
-        n_miss = self._results_miss_count(k)
+        n_miss, n_outlinks = self._results_counts(k)
         res = self.store.read_table(
             self._lvl(k, "results"), self.RESULTS_SCHEMA, columns=["url", "outlinks"]
         )
@@ -459,7 +475,6 @@ class CrawlEngine:
             res["url"].combine_chunks(), pa.compute.list_parent_indices(col)
         )
         out_urls = flat.to_pylist()
-        n_outlinks = len(out_urls)
         out_hosts = hosts_batch_cleaned(out_urls)  # outlinks are cleaned urls
         out_scope = out_hosts.str.endswith(cfg.domain).fillna(False).to_numpy(dtype=bool)
         parts = [
@@ -586,25 +601,12 @@ class CrawlEngine:
         results_final = self._lvl(k, "results")
         results_staged = self.store.begin_dir(results_final)
 
-        empty_results = False
-        if self._fetch_mode == "join":
-            # ray 2.49 Dataset.join raises on a fully-empty left side; the
-            # materialize is also a barrier that makes the fused path's
-            # deferred side-writes durable before the combine below
-            scheduled = scheduled.materialize()
-            empty_results = scheduled.count() == 0
-
-        if empty_results:
-            slim = ray.data.from_arrow(
-                self.RESULTS_SCHEMA.empty_table().select(["url", "depth", "outlinks"])
-            )
-        else:
-            marked = seen_add(scheduled, self.seen)
-            # n_frontier is an upper bound on the scheduled rows — the
-            # right scale signal for the align-vs-per-batch fetch choice
-            fetched = self._fetch(marked, n_frontier)
-            results = extract_stage(fetched, depth=k)
-            slim = _side_write_results(results, results_staged, self.store)
+        marked = seen_add(scheduled, self.seen)
+        # n_frontier is an upper bound on the scheduled rows — the right
+        # scale signal for the align-vs-per-batch fetch choice
+        fetched = self._fetch(marked, n_frontier)
+        results = extract_stage(fetched, depth=k)
+        slim = _side_write_results(results, results_staged, self.store)
 
         outlinks = flatten_outlinks(slim, cfg.domain)
         # local pre-aggregation (combiner): one row per distinct url per
@@ -652,7 +654,7 @@ class CrawlEngine:
         n_deferred_rows = (
             self.store.count_rows(deferred_dir) if deferred_dir is not None else 0
         )
-        n_miss = self._results_miss_count(k)
+        n_miss, n_outlinks = self._results_counts(k)
         _t_next = _time.time() - _t0 - _t_main
         self._finish_level(
             k,
@@ -664,7 +666,7 @@ class CrawlEngine:
                 n_deferred=n_deferred_rows,
                 n_fetched=n_results - n_miss,
                 n_fetch_miss=n_miss,
-                n_outlinks=-1,  # not separately counted on this path
+                n_outlinks=n_outlinks,
                 n_frontier_next=n_next,
                 path="distributed",
                 extra={"t_main": round(_t_main, 2), "t_next": round(_t_next, 2)},

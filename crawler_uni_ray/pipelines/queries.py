@@ -830,8 +830,7 @@ def revenue_by_priority(sf_dir: str) -> pd.DataFrame:
     (the join's aggregator actor pool has a high fixed cost); buckets
     hold whole order keys so semantics are exact.  (``docs_tfidf_top``
     moved to this plan too in round 3 after the native join's
-    empty-partition ArrowInvalid at 32 CPUs; the native join remains
-    exercised by ``stages/fetch.py`` ``fetch_mode="join"``.)"""
+    empty-partition ArrowInvalid at 32 CPUs.)"""
     from ..ops import add_hash_bucket_int
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])

@@ -2,19 +2,28 @@
 (SURVEY.md §2.1 S5; schema fixed by BASELINE.json input_hint).
 
 The corpus layout is ``part_hash=NN/*.parquet`` hash-partitioned by url
-(corpus.write_corpus_parquet / bench.ensure_corpus).  Always read with
-``columns=`` pruning — a crawl stage that needs urls must never drag the
-html payload off storage.
+(corpus.write_corpus_parquet / pages_to_corpus_parquet /
+bench.ensure_corpus).  Always read with ``columns=`` pruning — a crawl
+stage that needs urls must never drag the html payload off storage.
 """
 
 from __future__ import annotations
 
 import os
 
+import pyarrow as pa
 import ray.data
 from ray.data import Dataset
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+
+
+def is_partitioned_corpus(path: str | None) -> bool:
+    """True when ``path`` is a directory holding ``part_hash=NN/`` shard
+    dirs — the layout the partitioned fetch reads."""
+    return bool(path) and os.path.isdir(path) and any(
+        d.startswith("part_hash=") for d in os.listdir(path)
+    )
 
 
 def read_pages_partition_files(corpus_path: str) -> list[str]:
@@ -75,3 +84,59 @@ def corpus_fetch_fn(corpus_path: str, num_shards: int = 8):
         return t["html"][0].as_py() if t.num_rows else None
 
     return fetch
+
+
+def pages_to_corpus_parquet(
+    pages_ds: Dataset,
+    out_dir: str,
+    num_shards: int,
+    total_bytes: int,
+    target_group_bytes: int = 256 << 20,
+) -> str:
+    """Write a pages Dataset (at least ``url``, ``html``) as the engine's
+    corpus layout: ``part_hash=NN/`` dirs of url-sorted files (row-group
+    pruning — what ``fetch_partitioned`` reads).
+
+    ONE bucketed shuffle on ``url_hash % (num_shards × k)``, ``k`` sized
+    from ``total_bytes`` to ≈``target_group_bytes`` per group (a
+    map_groups task holds its whole group in memory, so group count tracks
+    data size, not the directory fan-out).  ``num_shards`` divides the
+    modulus, so each group lands wholly inside its shard directory as ONE
+    file under a deterministic name (``part-{group:05d}.parquet``,
+    tmp→rename) — task retries are idempotent.  Nothing materializes on
+    the driver."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from ..ops import add_hash_bucket
+
+    k = max(1, -(-total_bytes // (num_shards * target_group_bytes)))  # ceil
+    n_groups = num_shards * k
+
+    os.makedirs(out_dir, exist_ok=True)
+    for s in range(num_shards):
+        os.makedirs(os.path.join(out_dir, f"part_hash={s:02d}"), exist_ok=True)
+
+    def _write_group(g: pd.DataFrame) -> pa.Table:
+        from ..util import ensure_worker_thread_limits, from_pandas_clean
+
+        ensure_worker_thread_limits()
+        grp = int(g["__bucket"].iloc[0])
+        s = grp % num_shards  # ≡ url_hash % num_shards — the fetch layout
+        g = g.drop(columns=["__bucket"]).sort_values("url", kind="mergesort")
+        final = os.path.join(
+            out_dir, f"part_hash={s:02d}", f"part-{grp:05d}.parquet"
+        )
+        tmp = final + ".tmp"
+        pq.write_table(from_pandas_clean(g), tmp)
+        os.replace(tmp, final)
+        return pa.table({"part": pa.array([s], pa.int64()),
+                         "n": pa.array([len(g)], pa.int64())})
+
+    counts = (
+        add_hash_bucket(pages_ds, "url", n_groups)
+        .groupby("__bucket")
+        .map_groups(_write_group, batch_format="pandas")
+    )
+    counts.count()  # drive the sink
+    return out_dir

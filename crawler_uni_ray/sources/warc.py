@@ -211,54 +211,14 @@ def warc_to_corpus_parquet(
 ) -> str:
     """Distributed ingest: WARC archives → the engine's hash(url)-
     partitioned parquet corpus layout (``part_hash=NN/`` dirs, url-sorted
-    files for row-group pruning — what ``fetch_partitioned`` reads).
-
-    ONE bucketed shuffle — but the WRITE-group modulus is decoupled from
-    the corpus layout (the r4 ANN-writer lesson: a map_groups task holds
-    its whole group in memory, so group count must track data size, not
-    the directory fan-out).  Groups shuffle on ``url_hash % (num_shards ×
-    k)`` with ``k`` derived from the archives' total on-disk bytes
-    (≈``target_group_bytes`` per group); because ``num_shards`` divides
-    the group modulus, ``group % num_shards ≡ url_hash % num_shards`` and
-    each group lands wholly inside its shard directory as ONE url-sorted
-    file under a deterministic name (``part-{group:05d}.parquet``,
-    tmp→rename) — Ray task retries are idempotent, and a shard dir simply
-    holds k files.  Payload bytes move through the shuffle once; nothing
-    materializes on the driver."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..ops import add_hash_bucket
+    files for row-group pruning — what ``fetch_partitioned`` reads).  The
+    archives' total on-disk bytes size the write groups
+    (sources.pages.pages_to_corpus_parquet)."""
+    from .pages import pages_to_corpus_parquet
 
     paths = [warc_paths] if isinstance(warc_paths, str) else list(warc_paths)
     total = sum(os.path.getsize(p) for p in paths if os.path.exists(p))
-    k = max(1, -(-total // (num_shards * target_group_bytes)))  # ceil
-    n_groups = num_shards * k
-
-    os.makedirs(out_dir, exist_ok=True)
-    for s in range(num_shards):
-        os.makedirs(os.path.join(out_dir, f"part_hash={s:02d}"), exist_ok=True)
-
-    def _write_group(g: pd.DataFrame) -> pa.Table:
-        from ..util import ensure_worker_thread_limits, from_pandas_clean
-
-        ensure_worker_thread_limits()
-        grp = int(g["__bucket"].iloc[0])
-        s = grp % num_shards  # ≡ url_hash % num_shards — the fetch layout
-        g = g.drop(columns=["__bucket"]).sort_values("url", kind="mergesort")
-        final = os.path.join(
-            out_dir, f"part_hash={s:02d}", f"part-{grp:05d}.parquet"
-        )
-        tmp = final + ".tmp"
-        pq.write_table(from_pandas_clean(g), tmp)
-        os.replace(tmp, final)
-        return pa.table({"part": pa.array([s], pa.int64()),
-                         "n": pa.array([len(g)], pa.int64())})
-
-    counts = (
-        add_hash_bucket(read_warc(paths), "url", n_groups)
-        .groupby("__bucket")
-        .map_groups(_write_group, batch_format="pandas")
+    return pages_to_corpus_parquet(
+        read_warc(paths), out_dir, num_shards, total,
+        target_group_bytes=target_group_bytes,
     )
-    counts.count()  # drive the sink
-    return out_dir

@@ -1,26 +1,23 @@
 """Fetch = corpus replay: look the scheduled frontier up in the pages
-table (SURVEY.md §2.1 S2).  A join-miss is a fetch failure — the URL stays
-visited with zero outlinks, matching the reference's silent
-exception-swallow (/root/reference/crawler.py:45-46).  Three physical modes:
+table (SURVEY.md §2.1 S2).  A lookup miss is a fetch failure — the URL
+stays visited with zero outlinks, matching the reference's silent
+exception-swallow (/root/reference/crawler.py:45-46).  One physical mode
+per corpus source:
 
-* ``broadcast`` — the whole corpus dict shipped once via ``ray.put``,
+* ``broadcast`` — an in-memory corpus dict shipped once via ``ray.put``,
   looked up per batch.  Tests / small corpora only (≪ worker heap).
-* ``join`` — ``Dataset.join`` (hash-partitioned shuffle join, ray 2.49) of
-  frontier × pages, left-outer.  Correct at any scale but re-streams the
-  FULL pages table every level — use when a level touches a large fraction
-  of the corpus.
+* ``partitioned`` — the scale path.  The corpus lives as ``part_hash=NN/``
+  parquet dirs hash-partitioned by url (corpus.write_corpus_parquet,
+  sources.pages.pages_to_corpus_parquet); the frontier is bucketed by the
+  SAME hash and each bucket reads only its partition's files with an
+  ``url ∈ scheduled`` pyarrow filter (row-group pruning).  Per-level I/O is
+  proportional to the touched partitions, not the corpus — the analog of an
+  indexed KV fetch at 100 TB.
 * ``http`` — REAL network fetch (T2): an actor pool of ``HttpFetcher``s,
   each holding one ``requests.Session`` (connection pool + desktop UA,
   the reference's shared-session shape, crawler.py:18-21) with
   ``timeout=10`` and ``raise_for_status`` — any exception → the row stays
   with ``fetched=False`` and zero outlinks (crawler.py:30-31,45-46).
-* ``partitioned`` — the scale default.  The corpus lives as
-  ``part_hash=NN/`` parquet dirs hash-partitioned by url
-  (corpus.write_corpus_parquet); the frontier is bucketed by the SAME hash
-  and each bucket reads only its partition's files with an
-  ``url ∈ scheduled`` pyarrow filter (row-group pruning).  Per-level I/O is
-  proportional to the touched partitions, not the corpus — the analog of an
-  indexed KV fetch at 100 TB.
 """
 
 from __future__ import annotations
@@ -31,9 +28,6 @@ from ray.data import Dataset
 
 from ..urlnorm import url_hash_batch
 from ..util import cached_get, ensure_worker_thread_limits
-
-_FETCH_COLS = ["html", "warc_ts"]
-
 
 def fetch_broadcast(ds: Dataset, corpus_ref) -> Dataset:
     """Corpus dict shipped once via ray.put, deserialized once per worker
@@ -49,33 +43,6 @@ def fetch_broadcast(ds: Dataset, corpus_ref) -> Dataset:
         )
 
     return ds.map_batches(_fetch, batch_format="pyarrow")
-
-
-def fetch_join(ds: Dataset, pages: Dataset, num_partitions: int = 32) -> Dataset:
-    """Left-outer hash join against the pages Dataset (misses kept).
-
-    Partition count is clamped to ~2× the cluster's CPUs: ray 2.49's
-    hash-shuffle join aggregators each reserve a CPU fraction, so a
-    partition count far above the CPU count STARVES the map side and
-    deadlocks outright on small clusters (observed: 64 partitions on 4
-    CPUs never completes)."""
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8))
-    num_partitions = max(2, min(num_partitions, 2 * cpus))
-    pages2 = pages.select_columns(["url", "html"])
-    joined = ds.join(
-        pages2,
-        join_type="left_outer",
-        num_partitions=num_partitions,
-        on=("url",),
-    )
-
-    def _flag(t: pa.Table) -> pa.Table:
-        fetched = pa.compute.is_valid(t["html"])
-        return t.append_column("fetched", fetched)
-
-    return joined.map_batches(_flag, batch_format="pyarrow")
 
 
 class HttpFetcher:
@@ -117,11 +84,10 @@ class HttpFetcher:
         # deterministic per-level budget upstream stays the conformance
         # semantics; this bounds the instantaneous request rate a live
         # host sees.  The bucket is per actor; ``fetch_http`` (the only
-        # constructor of this pool) divides the user's global per-host
-        # rate by the pool's max size before it reaches here
-        # (rate_scope="global", the default), so the AGGREGATE rate a
-        # host sees across the whole pool never exceeds the configured
-        # cap — conservative when the autoscaling pool runs below max.
+        # constructor of this pool) divides the configured per-host rate
+        # by the pool's max size before it reaches here, so the AGGREGATE
+        # rate a host sees across the whole pool never exceeds the cap —
+        # conservative when the autoscaling pool runs below max.
         self.rate = rate_per_host
         # per-host rate OVERRIDES (req/s), e.g. derived from robots.txt
         # Crawl-delay — an override throttles its host even when no
@@ -177,7 +143,6 @@ def fetch_http(
     concurrency: int | tuple[int, int] = (1, 4),
     batch_size: int = 64,
     rate_per_host: float | None = None,
-    rate_scope: str = "global",
     host_rates: dict[str, float] | None = None,
 ) -> Dataset:
     """Actor-pool live fetch.  Sizing: each actor overlaps ~10 in-flight
@@ -185,26 +150,17 @@ def fetch_http(
     the per-host scheduler upstream already bounds per-host pressure.
 
     ``rate_per_host`` adds a wall-clock per-host token bucket (requests/
-    sec) on top of the deterministic per-level budget.  With
-    ``rate_scope="global"`` (default) the rate is a cap on what the host
-    sees from the WHOLE pool: each actor's bucket gets
+    sec) on top of the deterministic per-level budget.  The rate is a cap
+    on what the host sees from the WHOLE pool: each actor's bucket gets
     ``rate_per_host / max_pool_size``, so the aggregate can never exceed
     the configured rate even when a host's URLs land on several actors
     (conservative — an autoscaled pool running below max under-uses the
-    budget).  ``rate_scope="actor"`` keeps the raw per-actor bucket (the
-    pre-r5 behavior: aggregate up to pool_size × rate)."""
-    if rate_scope not in ("global", "actor"):
-        raise ValueError(f"rate_scope must be 'global' or 'actor': {rate_scope!r}")
-    actor_rate, actor_host_rates = rate_per_host, host_rates
-    if rate_scope == "global":
-        max_pool = concurrency if isinstance(concurrency, int) else concurrency[1]
-        div = max(1, int(max_pool))
-        if rate_per_host is not None:
-            actor_rate = rate_per_host / div
-        if host_rates:
-            # per-host overrides (e.g. robots Crawl-delay) are aggregate
-            # caps too — divide by the pool size like the global rate
-            actor_host_rates = {h: r / div for h, r in host_rates.items()}
+    budget).  ``host_rates`` overrides (e.g. robots Crawl-delay) are
+    aggregate caps too and are divided the same way."""
+    max_pool = concurrency if isinstance(concurrency, int) else concurrency[1]
+    div = max(1, int(max_pool))
+    actor_rate = rate_per_host / div if rate_per_host is not None else None
+    actor_host_rates = {h: r / div for h, r in (host_rates or {}).items()}
     return ds.map_batches(
         HttpFetcher,
         fn_constructor_kwargs={

@@ -197,11 +197,15 @@ class CuckooFilter:
 _BACKENDS = {"exact": ExactSet, "bloom": BloomFilter, "cuckoo": CuckooFilter}
 
 
-@ray.remote(num_cpus=0.25)
+# CPU reservation of one seen shard: a 256-shard fleet shouldn't reserve
+# whole cores for what is mostly memory + short vectorized probes.  The
+# engine refuses a session that this leaves without 1 CPU for Ray Data
+SHARD_CPUS = 0.25
+
+
+@ray.remote(num_cpus=SHARD_CPUS)
 class SeenShard:
-    """One shard of the distributed seen-set.  ``num_cpus=0.25`` so a
-    256-shard fleet doesn't reserve whole cores for what is mostly
-    memory + short vectorized probes."""
+    """One shard of the distributed seen-set (``SHARD_CPUS`` each)."""
 
     def __init__(self, backend: str = "exact", n_bits: int = 1 << 27, k: int = 7):
         if backend == "exact":

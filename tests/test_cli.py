@@ -6,15 +6,26 @@ import os
 import subprocess
 import sys
 
+import pyarrow.parquet as pq
+import pytest
+
 from crawler_uni_ray.corpus import TINY, build_pages_table, write_corpus_parquet
 from crawler_uni_ray.oracle import crawl_oracle
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_cli_end_to_end(tmp_path):
+@pytest.mark.parametrize("layout", ["part_hash", "flat"])
+def test_cli_end_to_end(tmp_path, layout):
+    """Both corpus layouts under the default fetch mode: part_hash=NN
+    dirs are read in place; a flat single-dir pages parquet (the paper's
+    input shape) is converted once into <ckpt>.corpus first."""
     corpus_dir = str(tmp_path / "corpus")
-    write_corpus_parquet(TINY, corpus_dir, num_shards=4)
+    if layout == "part_hash":
+        write_corpus_parquet(TINY, corpus_dir, num_shards=4)
+    else:
+        os.makedirs(corpus_dir)
+        pq.write_table(build_pages_table(TINY), os.path.join(corpus_dir, "pages.parquet"))
     out = str(tmp_path / "links.txt")
     ckpt = str(tmp_path / "ckpt")
     # own Ray session in a subprocess — the pytest session fixture keeps its
@@ -32,12 +43,11 @@ def test_cli_end_to_end(tmp_path):
             ckpt,
             "--out",
             out,
-            "--fetch-mode",
-            "partitioned",
             "--num-corpus-shards",
             "4",
-            # 4+: the partitioned-fetch group stage reserves 2 CPUs per
-            # task — a 2-CPU cluster starves the rest of the pipeline
+            # the engine needs 1 CPU beside its 4 seen shards' 0.25 each
+            # (it refuses a smaller session); 4 lets fetch and extract
+            # tasks run side by side
             "--num-cpus",
             "4",
         ],

@@ -3,6 +3,8 @@ per-depth visited sets, sorted all_links, byte-identical text per url —
 never visit *sequences* (the reference's intra-level order is
 nondeterministic, SURVEY.md §2.8)."""
 
+import os
+
 import pytest
 
 from crawler_uni_ray.corpus import TINY, build_robots_table, host_name, write_corpus_parquet
@@ -51,6 +53,10 @@ def test_plain_bfs_conformance(ray_session, tiny_corpus, tmp_path, small_rows):
     # level metrics recorded + manifests committed
     assert eng.committed_levels() == list(range(len(eng.metrics)))
     assert eng.metrics[0].n_scheduled == 1  # the seed
+    # both paths count every level's outlinks from its results
+    assert all(m.n_outlinks >= 0 for m in eng.metrics)
+    n_col = eng.results_dataset().sum("n_outlinks")
+    assert sum(m.n_outlinks for m in eng.metrics) == n_col > 0
 
 
 @pytest.mark.parametrize("small_rows", [50_000, 0])
@@ -173,51 +179,79 @@ def test_partitioned_fetch_conformance(ray_session, tiny_corpus, tmp_path):
     _assert_conformance(eng, oracle, check_text=False)
 
 
-def test_join_fetch_conformance_two_levels(ray_session, tiny_corpus, tmp_path):
-    """Dataset.join fetch: the hash-shuffle join spins aggregator actors
-    per level, which is slow at 4 test CPUs — assert the first two BFS
-    levels only (semantics per level are identical)."""
+@pytest.fixture
+def no_shards(monkeypatch):
+    """Make building seen-shard actors fail the test: a config check
+    must raise before the engine creates any."""
+    from crawler_uni_ray.pipelines import crawl
+
+    def _fail(*a, **kw):
+        raise AssertionError("ShardedSeen built for an invalid config")
+
+    monkeypatch.setattr(crawl, "ShardedSeen", _fail)
+
+
+@pytest.mark.parametrize(
+    "mode,source",
+    [("broadcast", None), ("partitioned", "flat"), ("auto", None)],
+)
+def test_fetch_source_checked_at_construction(ray_session, no_shards, tmp_path, mode, source):
+    """A fetch mode whose corpus source is missing raises ValueError when
+    the engine is built, before any seen-shard actor exists: broadcast
+    without corpus_dict, partitioned on flat parquet (no part_hash=NN
+    dirs), auto with no corpus at all."""
+    import pyarrow.parquet as pq
+
+    from crawler_uni_ray.corpus import build_pages_table
+
+    corpus_path = None
+    if source == "flat":
+        corpus_path = str(tmp_path / "flat")
+        os.makedirs(corpus_path)
+        pq.write_table(build_pages_table(TINY), os.path.join(corpus_path, "pages.parquet"))
+    with pytest.raises(ValueError, match="fetch_mode"):
+        CrawlEngine(
+            CrawlConfig(
+                domain=DOMAIN,
+                ckpt_dir=str(tmp_path / "c"),
+                corpus_path=corpus_path,
+                fetch_mode=mode,
+            )
+        )
+
+
+def test_partitioned_corpus_written_after_construction(ray_session, tiny_corpus, tmp_path):
+    """A corpus_path that does not exist yet is accepted: the corpus may
+    be written after the engine is built (crawlbench's set-up order)."""
     corpus_dir = str(tmp_path / "corpus")
-    write_corpus_parquet(TINY, corpus_dir, num_shards=4)
-    oracle = crawl_oracle(tiny_corpus, DOMAIN)
     eng = CrawlEngine(
         CrawlConfig(
             domain=DOMAIN,
             ckpt_dir=str(tmp_path / "c"),
             corpus_path=corpus_dir,
-            fetch_mode="join",
             num_corpus_shards=4,
-            n_buckets=4,
             max_levels=2,
         )
     )
+    write_corpus_parquet(TINY, corpus_dir, num_shards=4)
     eng.run()
-    got = eng.visited_depth()
-    want = {u: d for u, d in oracle.visited_depth.items() if d < 2}
-    assert got == want
+    want = {u: d for u, d in crawl_oracle(tiny_corpus, DOMAIN).visited_depth.items() if d < 2}
+    assert eng.visited_depth() == want
 
 
-def test_fetch_join_partitions_above_corpus_size(ray_session):
-    """Native-join hardening (VERDICT r2 #10): requesting far more join
-    partitions than CPUs must neither deadlock (ray 2.49 join aggregators
-    reserve CPU fractions — 64 partitions on 4 CPUs starves the map side)
-    nor trip acero's empty-partition ArrowInvalid when the right side is
-    smaller than the partition count (the docs_tfidf_top round-2 failure
-    shape) — fetch_join clamps to 2×CPUs, and parquet/arrow-rooted blocks
-    carry their schema even when empty."""
-    import pyarrow as pa
-    import ray.data
-
-    from crawler_uni_ray.stages.fetch import fetch_join
-    from crawler_uni_ray.stages.frontier import frontier_table
-
-    urls = [f"https://example.com/p{i}.html" for i in range(10)]
-    pages = ray.data.from_arrow(
-        pa.table({"url": urls[:3], "html": [b"<html></html>"] * 3})
-    )
-    front = ray.data.from_arrow(frontier_table(urls))
-    out = fetch_join(front, pages, num_partitions=64).to_pandas()
-    assert len(out) == 10 and int(out["fetched"].sum()) == 3
+def test_too_many_seen_shards_for_session(ray_session, no_shards, tiny_corpus, tmp_path):
+    """13 shards × 0.25 CPU leave 0.75 of the session's 4 CPUs: no Ray
+    Data task could ever run, so the engine refuses at construction
+    instead of hanging mid-level — and creates no shard actor."""
+    with pytest.raises(ValueError, match="seen shards reserve"):
+        CrawlEngine(
+            CrawlConfig(
+                domain=DOMAIN,
+                ckpt_dir=str(tmp_path / "c"),
+                corpus_dict=tiny_corpus,
+                num_seen_shards=13,
+            )
+        )
 
 
 def test_max_pages_guard(ray_session, tiny_corpus, tmp_path):

@@ -108,11 +108,11 @@ def test_http_rate_limit_spaces_requests_per_host(ray_session):
 
 
 def test_http_rate_limit_global_across_pool(ray_session):
-    """VERDICT r4 #5: with rate_scope="global" (the default) the host's
-    AGGREGATE request rate across a concurrency≥2 actor pool stays under
-    rate_per_host — fetch_http divides the rate by the pool's max size,
-    so even if every actor gets some of the host's URLs the sum of the
-    per-actor buckets equals the configured cap."""
+    """VERDICT r4 #5: the host's AGGREGATE request rate across a
+    concurrency≥2 actor pool stays under rate_per_host — fetch_http
+    divides the rate by the pool's max size, so even if every actor gets
+    some of the host's URLs the sum of the per-actor buckets equals the
+    configured cap."""
     rec: list = []
     srv = _recording_server(rec)
     try:
