@@ -7,9 +7,9 @@ Every page is a pure function of ``(spec, host_idx, page_idx)`` — per-page
 ``random.Random((seed, host_idx, page_idx))``, never ``hash()`` or set
 iteration — so generation parallelizes embarrassingly (a Ray ``range`` →
 ``map_batches`` pipeline for bench scale) and reproduces byte-identically.
-The ``text`` column is produced by :func:`crawler_uni_ray.extract.extract_text`
-on the generated html, making the byte-identity invariant hold by
-construction.
+The ``text`` column is produced by the stdlib reference parser
+(:func:`crawler_uni_ray.extract.parse_html_reference`) on the generated
+html, so a crawl's text checked against it checks the engine's fast path.
 
 The link graph exercises every extractor/canonicalizer edge case the
 reference exhibits (verified against /root/reference/crawler.py:24-46):
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
-from .extract import extract_text
+from .extract import parse_html_reference
 
 EPOCH_2025 = 1735689600_000000  # 2025-01-01T00:00:00Z in microseconds
 
@@ -199,7 +199,7 @@ def gen_rows(spec: CorpusSpec, row_ids) -> pa.Table:
         urls.append(url)
         ts.append(EPOCH_2025 + r * 1_000_000)
         htmls.append(html)
-        texts.append(extract_text(html))
+        texts.append(parse_html_reference(html)[1])
     return pa.Table.from_arrays(
         [
             pa.array(urls, pa.string()),

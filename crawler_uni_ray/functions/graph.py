@@ -398,7 +398,7 @@ def triangle_count(
     import ray as _ray
     from ray.data.aggregate import Sum
 
-    from ..util import from_pandas_clean
+    from ..util import from_pandas_clean, pack_id_pair
 
     if n_buckets is None:
         n_buckets = max(8, 2 * int(_ray.cluster_resources().get("CPU", 8)))
@@ -520,21 +520,15 @@ def triangle_count(
             if len(d) < 2:
                 continue
             i, j = np.triu_indices(len(d), k=1)
-            lo, hi = d[i], d[j]
-            pks.append((lo.astype(np.uint64) << np.uint64(32))
-                       | hi.astype(np.uint64))
-        pk = np.concatenate(pks) if pks else np.empty(0, np.uint64)
+            pks.append(pack_id_pair(d[i], d[j]))
+        pk = np.concatenate(pks) if pks else np.empty(0, np.int64)
         return from_pandas_clean(
-            pd.DataFrame(
-                {"kind": np.zeros(len(pk), np.int64), "pk": pk.view(np.int64)}
-            ),
+            pd.DataFrame({"kind": np.zeros(len(pk), np.int64), "pk": pk}),
             pair_schema,
         )
 
     def _edge_keys(t: pa.Table) -> pa.Table:
-        lo = t["a"].to_numpy().astype(np.uint64)
-        hi = t["b"].to_numpy().astype(np.uint64)
-        pk = ((lo << np.uint64(32)) | hi).view(np.int64)
+        pk = pack_id_pair(t["a"].to_numpy(), t["b"].to_numpy())
         return pa.table(
             {
                 "kind": pa.array(np.ones(len(pk), np.int64)),

@@ -808,7 +808,7 @@ def tfidf_cosine_pairs(
 
     from ..functions.text import doc_term_freqs
     from ..ops import add_hash_bucket, add_hash_bucket_int
-    from ..util import cached_get, from_pandas_clean
+    from ..util import cached_get, from_pandas_clean, pack_id_pair
 
     if n_buckets is None:
         n_buckets = max(8, 2 * int(_ray.cluster_resources().get("CPU", 8)))
@@ -914,9 +914,8 @@ def tfidf_cosine_pairs(
     )
 
     def _pack(t: pa.Table) -> pa.Table:
-        a = t["id_a"].to_numpy().astype(np.uint64)
-        b = t["id_b"].to_numpy().astype(np.uint64)
-        return t.append_column("pk", pa.array(((a << np.uint64(32)) | b).view(np.int64)))
+        pk = pack_id_pair(t["id_a"].to_numpy(), t["id_b"].to_numpy())
+        return t.append_column("pk", pa.array(pk))
 
     out_schema = pa.schema(
         [("id_a", pa.int64()), ("id_b", pa.int64()), ("cos", pa.float64())]

@@ -758,6 +758,7 @@ def strip_dup_spans(
     all-to-all the text payload crosses.  Coverage masks build with a
     difference array (``np.add.at`` + cumsum), never a per-token loop."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray as _ray
 
     from ..ops import add_hash_bucket_int
@@ -841,7 +842,7 @@ def strip_dup_spans(
                 "kind": pa.array(np.zeros(t.num_rows, np.int64)),
                 id_col: t[id_col].cast(pa.int64()),
                 "pos": pa.array(np.full(t.num_rows, -1, np.int64)),
-                text_col: t[text_col].cast(pa.string()),
+                text_col: pc.fill_null(t[text_col].cast(pa.string()), ""),
             }
         )
 

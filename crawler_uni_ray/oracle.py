@@ -17,6 +17,9 @@ bug-for-bug:
   crawler.py:66-67); only in-scope unseen links are enqueued (crawler.py:68);
 * final artifact = lexicographically sorted unique links (crawler.py:93-97).
 
+Pages are parsed with the stdlib reference (``extract.parse_html_reference``),
+never the engine's regex fast path, so matching the oracle checks that path.
+
 [NR] extensions with no reference counterpart (BASELINE.json north_rule) are
 implemented here as THE spec the Ray engine must match: a deterministic
 per-host politeness budget (per level, lexicographic order, defer — never
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib import robotparser
 
-from .extract import extract_links_and_text
+from .extract import parse_html_reference, resolve_links
 from .urlnorm import host_of, is_in_scope
 
 
@@ -128,7 +131,8 @@ def crawl_oracle(
             if html is None:  # fetch failure → zero outlinks (crawler.py:45-46)
                 n_miss += 1
                 continue
-            links, text = extract_links_and_text(html, url)
+            hrefs, text = parse_html_reference(html)
+            links = resolve_links(hrefs, url)
             res.text[url] = text
             for link in sorted(links):
                 res.all_links.add(link)

@@ -87,6 +87,19 @@ def from_pandas_clean(df, schema=None):
     return t.replace_schema_metadata(None)
 
 
+def pack_id_pair(lo, hi):
+    """Two int id arrays → one int64 key ``(lo << 32) | hi``.  An id outside
+    [0, 2**32) would collide with another pair, so it raises ValueError."""
+    import numpy as np
+
+    for ids in (lo, hi):
+        if len(ids) and (ids.min() < 0 or ids.max() >= 1 << 32):
+            raise ValueError(
+                f"ids in [{ids.min()}, {ids.max()}] do not fit a 32-bit pair key half"
+            )
+    return ((lo.astype(np.uint64) << np.uint64(32)) | hi.astype(np.uint64)).view(np.int64)
+
+
 def cached_get(ref, build: Callable[[Any], Any] | None = None, key: str | None = None):
     if isinstance(ref, ray.ObjectRef):
         k = ref.hex()

@@ -925,3 +925,43 @@ def test_collocation_partials_match_counter():
     got_big = Counter(zip(toks[:-1][m], toks[1:][m]))
     assert got_uni == uni
     assert got_big == big
+
+
+def test_strip_dup_spans_null_text_row(ray_session):
+    """A null text is an empty document, as in the file's other operators."""
+    import pyarrow as pa
+    import ray.data
+
+    shared = " ".join(f"w{i}" for i in range(12))
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2, 3], pa.int64()),
+                "text": pa.array([shared + " one", None, "two " + shared], pa.string()),
+            }
+        )
+    )
+    out = ftext.strip_dup_spans(ds, n=10).to_pandas().set_index("doc_id")
+    assert out.loc[2, "text_clean"] == "" and out.loc[2, "n_tokens_removed"] == 0
+    assert out.loc[1, "n_tokens_removed"] == 0  # the smallest id keeps the span
+    assert out.loc[3, "text_clean"] == "two" and out.loc[3, "n_tokens_removed"] == 12
+
+
+def test_tfidf_cosine_pairs_rejects_ids_beyond_pair_key(ray_session):
+    """Ids ≥ 2**32 would collide in the packed (id_a, id_b) key."""
+    import pyarrow as pa
+    import ray.data
+
+    from crawler_uni_ray.functions.similarity import tfidf_cosine_pairs
+
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2**32 + 1], pa.int64()),
+                "text": pa.array(["red green blue", "red green blue"], pa.string()),
+            }
+        )
+    )
+    # the kernel's ValueError reaches the caller wrapped by Ray Data
+    with pytest.raises(Exception, match="ValueError: ids in .* do not fit a 32-bit pair key"):
+        tfidf_cosine_pairs(ds, threshold=0.5)

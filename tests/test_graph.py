@@ -188,6 +188,29 @@ def test_triangle_count_known_graphs(ray_session):
     assert r.iloc[0]["n_triangles"] == 1 and r.iloc[0]["n_edges"] == 4
 
 
+def test_triangle_count_rejects_ids_beyond_pair_key(ray_session):
+    """Ids ≥ 2**32 do not fit a half of the packed (lo << 32 | hi) pair
+    key, where they would collide with other pairs."""
+    import pyarrow as pa
+    import ray.data
+
+    from crawler_uni_ray.functions.graph import triangle_count
+
+    big = 2**32 + 1
+    edges = [(0, 1), (1, big), (0, big), (5, 6)]
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "src": pa.array([e[0] for e in edges], pa.int64()),
+                "dst": pa.array([e[1] for e in edges], pa.int64()),
+            }
+        )
+    )
+    # the kernel's ValueError reaches the caller wrapped by Ray Data
+    with pytest.raises(Exception, match="ValueError: ids in .* do not fit a 32-bit pair key"):
+        triangle_count(ds)
+
+
 def test_lineitem_communities_query_pinned(ray_session):
     """The driver query vs the dense synchronous reference on the same
     sf0.001 bipartite graph — pins labels, not just row counts."""
