@@ -37,7 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "partitioned", "http"],
     )
-    p.add_argument("--num-corpus-shards", type=int, default=8)
+    p.add_argument(
+        "--num-corpus-shards", type=int, default=8,
+        help="shard fan-out when converting flat pages or WARC input; an "
+        "already-partitioned --corpus keeps the count of its part_hash dirs",
+    )
     p.add_argument("--budget", type=int, help="per-host fetches per level")
     p.add_argument(
         "--priority-policy", default="none", choices=["none", "indegree"]
@@ -92,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         from .pipelines.crawl import CrawlConfig, CrawlEngine
         from .sources.pages import (
             corpus_fetch_fn,
+            corpus_shard_count,
             is_partitioned_corpus,
             pages_to_corpus_parquet,
         )
@@ -116,12 +121,14 @@ def main(argv: list[str] | None = None) -> int:
                 args.num_corpus_shards,
                 sum(os.path.getsize(f) for f in flat.input_files()),
             )
+        # a partitioned corpus fixes its own shard count
+        num_shards = corpus_shard_count(args.corpus) or args.num_corpus_shards
 
         seeds = args.seeds or None
         if args.sitemap:
             from .sources.sitemap import expand_sitemaps
 
-            fetch = corpus_fetch_fn(args.corpus, args.num_corpus_shards)
+            fetch = corpus_fetch_fn(args.corpus, num_shards)
             seeds = sorted(set(seeds or []) | set(expand_sitemaps(fetch, args.sitemap)))
             if not seeds:
                 print("error: --sitemap produced no seeds", file=sys.stderr)
@@ -132,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             ckpt_dir=args.ckpt,
             corpus_path=args.corpus,
             fetch_mode=args.fetch_mode,
-            num_corpus_shards=args.num_corpus_shards,
+            num_corpus_shards=num_shards,
             budget=args.budget,
             http_rate_per_host=args.rate_per_host,
             priority_policy=args.priority_policy,

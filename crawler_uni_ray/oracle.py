@@ -85,6 +85,8 @@ def crawl_oracle(
     (-priority, url) with priority = referrer count at discovery level,
     deferred rows keep their priority, merge rule max(deferred, new).
     """
+    if priority_policy not in ("none", "indegree"):  # priority.PRIORITY_POLICIES
+        raise ValueError(f"priority_policy must be none or indegree: {priority_policy!r}")
     res = CrawlResult()
     rp = _build_robots(robots) if robots else {}
     # frontier: url → priority (the engine's frontier table, driver-sized)

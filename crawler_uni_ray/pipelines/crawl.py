@@ -16,7 +16,8 @@ level artifacts are published.  ALL durability primitives go through the
 storage seam (state/storage.py): ``storage="posix"`` commits by renaming
 a staged dir (single node / NFS-like shared FS), ``storage="manifest"``
 commits by atomically publishing a per-artifact manifest (the
-object-store protocol — no directory rename anywhere on the path).  Resume finds the max committed level, replays the
+object-store protocol — no directory rename anywhere on the path).
+Resume finds the max committed level, replays the
 ``results`` url columns into fresh seen shards, and restarts from the
 stored ``frontier_next``.  The reference's broken SIGINT partial save
 (crawler.py:104-109 calls an undefined ``stop()``) is subsumed: every
@@ -38,13 +39,23 @@ same distributed Dataset pipeline in BOTH paths (html never transits the
 driver), with exactly one fetch per corpus source: an in-memory
 ``corpus_dict`` → ``broadcast``, a ``part_hash=NN/`` Parquet dir →
 ``partitioned``, the live web → ``http`` (stages/fetch.py).  The mode is
-resolved and checked once, when the engine is built.
+resolved and checked once, when the engine is built; a partitioned
+corpus's shard count is checked when the first level starts.
+
+After fetch the paths share their table kernels and their epilogue too:
+results → next frontier is ``outlinks_table`` → ``_next_partials`` →
+``combine_frontier_pandas`` (per dedup bucket distributed, whole-frame on
+the driver), and ``_commit_level`` writes every level's manifest.  The
+manifest's per-partition lineage is the one source of a level's counts,
+of the next level's frontier files and of resume's seen replay.
 
 Checkpoint layout::
 
     ckpt/level_K/results/part-*.parquet        url,host,depth,fetch_status,n_outlinks,text,outlinks
     ckpt/level_K/frontier_next/part-*.parquet  url,host,depth,priority
-    ckpt/level_K/manifest.json                 written LAST = commit record
+    ckpt/level_K/deferred/*.parquet            budget-deferred rows (distributed path)
+    ckpt/level_K/manifest.json                 written LAST = commit record:
+                                               metrics + per-part {file, rows}
 
 (outlinks are stored inside results as a list<string> column and exploded
 on demand by ``outlinks_dataset`` — one write per level, not two.)
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -67,11 +79,12 @@ import ray.data
 from ray.data import Dataset
 
 from ..ops import add_hash_bucket, dedup_exact
-from ..stages.extract_stage import extract_stage, flatten_outlinks
-from ..sources.pages import is_partitioned_corpus
+from ..sources.pages import corpus_shard_count, is_partitioned_corpus
+from ..stages.extract_stage import extract_stage, flatten_outlinks, outlinks_table
 from ..stages.fetch import fetch_broadcast, fetch_http, fetch_partitioned
 from ..stages.frontier import FRONTIER_SCHEMA, frontier_table
 from ..stages.priority import (
+    check_policy,
     combine_frontier_pandas,
     deferred_partials_pandas,
     new_partials_pandas,
@@ -81,7 +94,7 @@ from ..stages.schedule import host_counts, schedule_flags_pandas, schedule_level
 from ..stages.seen_stage import seen_add, seen_filter
 from ..state.seen import SHARD_CPUS, ShardedSeen
 from ..state.storage import make_storage
-from ..urlnorm import hosts_batch_cleaned
+from ..util import from_pandas_clean
 
 
 @dataclass
@@ -94,7 +107,7 @@ class CrawlConfig:
     budget: int | None = None  # [NR] per-host fetches per level; None = unlimited
     priority_policy: str = "none"  # [NR] "none" | "indegree" (stages/priority.py)
     robots: dict[str, str] | None = None  # [NR] host → robots.txt body
-    seen_backend: str = "exact"  # "exact" | "bloom"
+    seen_backend: str = "exact"  # "exact" | "bloom" | "cuckoo" (state/seen.py)
     num_seen_shards: int = 4
     bloom_bits: int = 1 << 24
     # one fetch per corpus source: "broadcast" (corpus_dict),
@@ -103,10 +116,9 @@ class CrawlConfig:
     fetch_mode: str = "auto"
     http_timeout: float = 10.0  # http mode: per-request timeout (crawler.py:30)
     http_concurrency: int | tuple = (1, 4)  # http mode: fetch actor pool size
-    http_rate_per_host: float | None = None  # http mode: wall-clock req/s per host
-    http_obey_crawl_delay: bool = True  # http mode: robots.txt Crawl-delay
-    # directives (cfg.robots) become per-host rate overrides (1/delay
-    # req/s) on the fetcher's token bucket, aggregate across the pool
+    # http mode: wall-clock req/s per host; robots.txt Crawl-delay
+    # directives (cfg.robots) override it per host (1/delay req/s)
+    http_rate_per_host: float | None = None
     # partitioned fetch: levels above this re-bucket the frontier by the
     # corpus url-hash first — one pruned read and one task per corpus
     # partition (the unaligned path batches 8192 urls per task, so a
@@ -158,7 +170,7 @@ class LevelMetrics:
     extra: dict = field(default_factory=dict)
 
 
-def _write_atomic(store, ds: Dataset, final_dir: str) -> int:
+def _write_atomic(store, ds: Dataset, final_dir: str) -> None:
     """write_parquet into a staged area, commit through the storage seam
     (a crashed write leaves only invisible staging litter, never a
     half-committed artifact)."""
@@ -167,17 +179,15 @@ def _write_atomic(store, ds: Dataset, final_dir: str) -> int:
     # phases are I/O-bound, so the ratio win beats the cpu cost at scale
     ds.write_parquet(staged, arrow_parquet_args_fn=lambda: {"compression": "zstd"})
     store.commit_dir(final_dir, staged)
-    return store.count_rows(final_dir)
 
 
-def _write_atomic_table(store, tbl: pa.Table, final_dir: str) -> int:
+def _write_atomic_table(store, tbl: pa.Table, final_dir: str) -> None:
     """Driver-side single-file variant for small artifacts.  The part goes
     through ``store.write_part`` (single-object PUT) so the whole staged
     commit stays on the seam's primitives."""
     staged = store.begin_dir(final_dir)
     store.write_part(staged, "part-0.parquet", tbl)
     store.commit_dir(final_dir, staged)
-    return tbl.num_rows
 
 
 # combine-input rows for the frontier merge (stages/priority.py):
@@ -232,10 +242,7 @@ def _deferred_partials_writer(deferred_dir: str, dedup_buckets: int, store):
             url_hash_batch(part["url"].to_numpy(dtype=object)) % dedup_buckets
         ).astype(np.int64)
         for d in np.unique(db):
-            sub = part[db == d]
-            t = pa.Table.from_pandas(
-                sub, schema=_COMBINE_SCHEMA, preserve_index=False
-            ).replace_schema_metadata(None)
+            t = from_pandas_clean(part[db == d], _COMBINE_SCHEMA)
             store.write_part(
                 deferred_dir, f"d{int(d):05d}-s{sched_bucket:05d}.parquet", t
             )
@@ -258,17 +265,14 @@ def _next_partials(t: pa.Table) -> pa.Table:
     in-scope ones (one row per distinct url per batch with its partial
     referrer count — hub-heavy outlink batches collapse before any shuffle
     moves rows)."""
-    m = np.asarray(t["in_scope"].to_pylist(), dtype=bool)
-    t = t.filter(pa.array(m))
+    t = t.filter(t["in_scope"])
     g = new_partials_pandas(
         t["url"].to_pylist(),
         t["host"].to_pylist(),
         t["depth"].to_pylist(),
         t["src_url"].to_pylist(),
     )
-    return pa.Table.from_pandas(
-        g, schema=_COMBINE_SCHEMA, preserve_index=False
-    ).replace_schema_metadata(None)
+    return from_pandas_clean(g, _COMBINE_SCHEMA)
 
 
 def _side_write_results(results: Dataset, staged_dir: str, store) -> Dataset:
@@ -349,9 +353,10 @@ class CrawlEngine:
 
     def __init__(self, config: CrawlConfig):
         self.cfg = config
-        # both checks run before any shard actor exists: a bad config
+        # these checks run before any shard actor exists: a bad config
         # fails here, not inside a Ray task mid-level (or as a hang)
         self._fetch_mode = _resolve_fetch_mode(config)
+        check_policy(config.priority_policy)
         cpus = ray.cluster_resources().get("CPU", 0)
         reserved = SHARD_CPUS * config.num_seen_shards
         if cpus - reserved < 1:
@@ -400,7 +405,7 @@ class CrawlEngine:
             return fetch_broadcast(scheduled, self._corpus_ref)
         if self._fetch_mode == "http":
             host_rates = None
-            if self.cfg.http_obey_crawl_delay and self.cfg.robots:
+            if self.cfg.robots:
                 from ..stages.robots import crawl_delays
 
                 host_rates = {
@@ -418,30 +423,11 @@ class CrawlEngine:
             scheduled, self.cfg.corpus_path, self.cfg.num_corpus_shards, align=align
         )
 
-    def _fetch_extract_write(self, scheduled: Dataset, k: int, n_rows: int = -1) -> int:
-        """The data plane: fetch + extract + results write — always a
-        distributed Dataset pipeline (html payloads never hit the driver)."""
-        marked = seen_add(scheduled, self.seen)
-        fetched = self._fetch(marked, n_rows)
-        results = extract_stage(fetched, depth=k)
-        return _write_atomic(self.store, results, self._lvl(k, "results"))
-
-    def _results_counts(self, k: int) -> tuple[int, int]:
-        """(fetch misses, outlinks) of level ``k``'s committed results —
-        one read of two int columns."""
-        n_miss = n_outlinks = 0
-        for f in self.store.list_parts(self._lvl(k, "results")):
-            t = pq.read_table(f, columns=["fetch_status", "n_outlinks"])
-            n_miss += t.num_rows - int(pc.sum(t["fetch_status"]).as_py() or 0)
-            n_outlinks += int(pc.sum(t["n_outlinks"]).as_py() or 0)
-        return n_miss, n_outlinks
-
     # ----------------------------------------------------------- level step
-    def _run_level_small(self, k: int, frontier_tbl: pa.Table) -> int:
+    def _run_level_small(self, k: int, frontier_tbl: pa.Table) -> LevelMetrics:
         """Driver fast path: control plane as vectorized Arrow/pandas +
         batched seen-actor RPCs; data plane distributed (see module doc)."""
         cfg = self.cfg
-        n_frontier = frontier_tbl.num_rows
         urls = frontier_tbl["url"].to_pylist()
         mask = ~self.seen.contains(urls)
         if self._robots_parsers is not None:
@@ -454,63 +440,34 @@ class CrawlEngine:
         scheduled_tbl = cand.filter(pa.array(flags))
         deferred_tbl = cand.filter(pa.array(~flags))
 
+        results_dir = self._lvl(k, "results")
         if scheduled_tbl.num_rows == 0:
-            n_results = _write_atomic_table(
-                self.store, self.RESULTS_SCHEMA.empty_table(), self._lvl(k, "results")
-            )
+            _write_atomic_table(self.store, self.RESULTS_SCHEMA.empty_table(), results_dir)
         else:
-            n_results = self._fetch_extract_write(
-                ray.data.from_arrow(scheduled_tbl), k, scheduled_tbl.num_rows
-            )
+            # the data plane: a distributed Dataset pipeline (html
+            # payloads never hit the driver)
+            marked = seen_add(ray.data.from_arrow(scheduled_tbl), self.seen)
+            fetched = self._fetch(marked, scheduled_tbl.num_rows)
+            _write_atomic(self.store, extract_stage(fetched, depth=k), results_dir)
 
         # next frontier = in-scope outlinks ∪ deferred, combined per url by
-        # the priority policy (stages/priority.py — deterministic merge)
-        n_miss, n_outlinks = self._results_counts(k)
+        # the priority policy (stages/priority.py — deterministic merge),
+        # through the distributed path's outlink→partials kernels
         res = self.store.read_table(
-            self._lvl(k, "results"), self.RESULTS_SCHEMA, columns=["url", "outlinks"]
+            results_dir, self.RESULTS_SCHEMA, columns=["url", "depth", "outlinks"]
         )
-        col = res["outlinks"].combine_chunks()
-        flat = pa.compute.list_flatten(col)
-        srcs = pa.compute.take(
-            res["url"].combine_chunks(), pa.compute.list_parent_indices(col)
-        )
-        out_urls = flat.to_pylist()
-        out_hosts = hosts_batch_cleaned(out_urls)  # outlinks are cleaned urls
-        out_scope = out_hosts.str.endswith(cfg.domain).fillna(False).to_numpy(dtype=bool)
-        parts = [
-            new_partials_pandas(
-                np.asarray(out_urls, dtype=object)[out_scope],
-                out_hosts.to_numpy(dtype=object)[out_scope],
-                np.full(int(out_scope.sum()), k + 1, dtype=np.int32),
-                np.asarray(srcs.to_pylist(), dtype=object)[out_scope],
-            )
-        ]
+        parts = [_next_partials(outlinks_table(res, cfg.domain)).to_pandas()]
         if deferred_tbl.num_rows:
             parts.append(deferred_partials_pandas(deferred_tbl.to_pandas()))
         next_df = combine_frontier_pandas(
             pd.concat(parts, ignore_index=True), cfg.priority_policy
         )
-        next_tbl = pa.Table.from_pandas(
-            next_df, schema=FRONTIER_SCHEMA, preserve_index=False
-        ).replace_schema_metadata(None)
-        n_next = _write_atomic_table(self.store, next_tbl, self._lvl(k, "frontier_next"))
-
-        self._finish_level(
-            k,
-            LevelMetrics(
-                level=k,
-                n_frontier=n_frontier,
-                n_candidates=cand.num_rows,
-                n_scheduled=n_results,
-                n_deferred=deferred_tbl.num_rows,
-                n_fetched=n_results - n_miss,
-                n_fetch_miss=n_miss,
-                n_outlinks=n_outlinks,
-                n_frontier_next=n_next,
-                path="small",
-            ),
+        _write_atomic_table(
+            self.store, from_pandas_clean(next_df, FRONTIER_SCHEMA), self._lvl(k, "frontier_next")
         )
-        return n_next
+        return self._commit_level(
+            k, "small", frontier_tbl.num_rows, n_deferred=deferred_tbl.num_rows
+        )
 
     def _load_hot_hosts(self, k: int) -> set[str] | None:
         """Hot hosts for level ``k`` from the PREVIOUS level's side-written
@@ -527,7 +484,7 @@ class CrawlEngine:
         df = t.to_pandas().groupby("host", as_index=False)["n"].sum()
         return set(df.loc[df["n"] > self.cfg.skew_threshold, "host"])
 
-    def _run_level_big(self, k: int, frontier: Dataset, n_frontier: int) -> int:
+    def _run_level_big(self, k: int, frontier: Dataset, n_frontier: int) -> LevelMetrics:
         """Distributed path: every control-plane stage is a Dataset op,
         FUSED into one streaming execution per level: the schedule shuffle
         streams into seen-add → fetch → extract, results are side-written
@@ -538,9 +495,7 @@ class CrawlEngine:
         frontier-dedup bucket and read back inside the combine groups
         (safe: the combine sits behind a later all-to-all, so every
         schedule-side write is durable first)."""
-        import time as _time
-
-        _t0 = _time.time()
+        t0 = time.perf_counter()
         cfg = self.cfg
         # datasets SNAPSHOT the DataContext at creation — a frontier built
         # before this engine (bench/driver code) carries the defaults, so
@@ -637,46 +592,69 @@ class CrawlEngine:
                 store.write_part(
                     hc_dir, f"b{b:05d}.parquet", _host_counts_table(out["host"])
                 )
-            return pa.Table.from_pandas(
-                out, schema=FRONTIER_SCHEMA, preserve_index=False
-            ).replace_schema_metadata(None)
+            return from_pandas_clean(out, FRONTIER_SCHEMA)
 
         frontier_next = bucketed.groupby("__bucket").map_groups(
             _combine, batch_format="pandas"
         )
-        n_next = _write_atomic(self.store, frontier_next, self._lvl(k, "frontier_next"))
-        _t_main = _time.time() - _t0
-
+        _write_atomic(self.store, frontier_next, self._lvl(k, "frontier_next"))
+        t_main = round(time.perf_counter() - t0, 2)
         # the big execution is done: commit the side-written results dir
         self.store.commit_dir(results_final, results_staged)
-        n_results = self.store.count_rows(results_final)
+        return self._commit_level(k, "distributed", n_frontier, extra={"t_main": t_main})
 
-        n_deferred_rows = (
-            self.store.count_rows(deferred_dir) if deferred_dir is not None else 0
+    def _commit_level(
+        self,
+        k: int,
+        path: str,
+        n_frontier: int,
+        n_deferred: int | None = None,
+        extra: dict | None = None,
+    ) -> LevelMetrics:
+        """The level's commit record, written last (north_rule:
+        per-partition lineage + metrics).  Lists every part of each
+        committed artifact once — its path relative to the artifact dir
+        (``ManifestStorage``'s ``_attempt-*/`` parts resolve) and its
+        footer row count — and derives the level's counts from that
+        lineage, plus one two-column read of the results for fetch misses
+        and outlinks.  The small path defers in memory (no ``deferred``
+        artifact), so it passes ``n_deferred``.  ``extra["t_next"]`` is
+        this epilogue's time."""
+        t0 = time.perf_counter()
+        lineage, rows = {}, {}
+        n_miss = n_outlinks = 0
+        for art in ("results", "frontier_next", "deferred"):
+            d = self._lvl(k, art)
+            lineage[art] = []
+            for f in self.store.list_parts(d):
+                with pq.ParquetFile(f) as pf:
+                    n = pf.metadata.num_rows
+                    if art == "results":
+                        t = pf.read(columns=["fetch_status", "n_outlinks"])
+                        n_miss += n - int(pc.sum(t["fetch_status"]).as_py() or 0)
+                        n_outlinks += int(pc.sum(t["n_outlinks"]).as_py() or 0)
+                lineage[art].append({"file": os.path.relpath(f, d), "rows": n})
+            rows[art] = sum(p["rows"] for p in lineage[art])
+        if n_deferred is None:
+            n_deferred = rows["deferred"]
+        m = LevelMetrics(
+            level=k,
+            n_frontier=n_frontier,
+            n_candidates=rows["results"] + n_deferred,
+            n_scheduled=rows["results"],
+            n_deferred=n_deferred,
+            n_fetched=rows["results"] - n_miss,
+            n_fetch_miss=n_miss,
+            n_outlinks=n_outlinks,
+            n_frontier_next=rows["frontier_next"],
+            path=path,
+            extra={**(extra or {}), "t_next": round(time.perf_counter() - t0, 2)},
         )
-        n_miss, n_outlinks = self._results_counts(k)
-        _t_next = _time.time() - _t0 - _t_main
-        self._finish_level(
-            k,
-            LevelMetrics(
-                level=k,
-                n_frontier=n_frontier,
-                n_candidates=n_results + n_deferred_rows,
-                n_scheduled=n_results,
-                n_deferred=n_deferred_rows,
-                n_fetched=n_results - n_miss,
-                n_fetch_miss=n_miss,
-                n_outlinks=n_outlinks,
-                n_frontier_next=n_next,
-                path="distributed",
-                extra={"t_main": round(_t_main, 2), "t_next": round(_t_next, 2)},
-            ),
+        self.store.write_json(
+            self._lvl(k, "manifest.json"),
+            {"level": k, "metrics": m.__dict__, "partitions": lineage},
         )
-        return n_next
-
-    def _finish_level(self, k: int, m: LevelMetrics) -> None:
         self.metrics.append(m)
-        self._commit_manifest(k, m)
         if self.cfg.verbose:  # streaming progress surface (per-level)
             print(
                 f"level {k}: frontier={m.n_frontier} scheduled={m.n_scheduled} "
@@ -684,24 +662,27 @@ class CrawlEngine:
                 f"deferred={m.n_deferred} next={m.n_frontier_next} [{m.path}]",
                 flush=True,
             )
+        return m
 
-    def _commit_manifest(self, k: int, m: LevelMetrics) -> None:
-        """The commit record — written last.  Per-partition lineage: every
-        artifact file with its row count (north_rule: per-partition
-        lineage + metrics)."""
-        lineage = {}
-        for art in ("results", "frontier_next", "deferred"):
-            d = self._lvl(k, art)
-            lineage[art] = [
-                {"file": os.path.basename(f), "rows": pq.ParquetFile(f).metadata.num_rows}
-                for f in self.store.list_parts(d)
-            ]
-        manifest = {
-            "level": k,
-            "metrics": m.__dict__,
-            "partitions": lineage,
-        }
-        self.store.write_json(self._lvl(k, "manifest.json"), manifest)
+    def _manifest(self, k: int) -> dict:
+        """Level ``k``'s commit record; raises on one without the
+        per-partition lineage every count and read-back comes from."""
+        with open(self._lvl(k, "manifest.json")) as f:
+            man = json.load(f)
+        if "partitions" not in man:
+            raise ValueError(
+                f"level {k} of {self.cfg.ckpt_dir} committed no per-partition "
+                "lineage ('partitions'), which this engine reads its counts "
+                "and files from; start a fresh crawl with run()"
+            )
+        return man
+
+    def _lineage(self, k: int, art: str) -> tuple[list[str], int]:
+        """(files, total rows) of level ``k``'s committed ``art``, from its
+        manifest — no listing, no parquet footer."""
+        parts = self._manifest(k)["partitions"][art]
+        d = self._lvl(k, art)
+        return [os.path.join(d, p["file"]) for p in parts], sum(p["rows"] for p in parts)
 
     # ----------------------------------------------------------- entry points
     @contextmanager
@@ -728,8 +709,22 @@ class CrawlEngine:
         finally:
             ctx.op_resource_reservation_enabled, ctx.target_max_block_size = saved
 
+    def _check_corpus(self) -> None:
+        """When the first level starts, a partitioned corpus must hold
+        ``num_corpus_shards`` ``part_hash=NN`` dirs: a url hashed to a
+        shard the corpus was not written with is a silent fetch miss.
+        (Construction lets a not-yet-written corpus pass.)"""
+        path, want = self.cfg.corpus_path, self.cfg.num_corpus_shards
+        n = corpus_shard_count(path)
+        if self._fetch_mode == "partitioned" and n != want:
+            raise ValueError(
+                f"corpus_path {path!r} holds {n} part_hash=NN dirs, not "
+                f"num_corpus_shards={want}: the fetch would miss pages"
+            )
+
     def run(self) -> list[LevelMetrics]:
         """Fresh crawl from the seed list."""
+        self._check_corpus()
         self.store.remove_dir(self.cfg.ckpt_dir)  # prefix DELETE on the seam
         os.makedirs(self.cfg.ckpt_dir, exist_ok=True)
         seeds = self.cfg.seeds or [f"https://{self.cfg.domain}"]
@@ -742,9 +737,12 @@ class CrawlEngine:
         done = self.committed_levels()
         if not done:
             return self.run()
+        self._check_corpus()
         last = max(done)
-        with open(self._lvl(last, "manifest.json")) as f:
-            fmt = json.load(f).get("frontier_format", "combined")
+        # every committed manifest must carry its lineage (_manifest raises
+        # before anything below touches the checkpoint)
+        manifests = [self._manifest(k) for k in done]
+        fmt = manifests[-1].get("frontier_format", "combined")
         if fmt != "combined":
             # older engines could end a level at un-merged next-frontier
             # partials; this engine reads only the combined frontier
@@ -762,24 +760,18 @@ class CrawlEngine:
             return self._loop(last + 1)
 
     def _replay_seen(self, levels: list[int]) -> None:
-        """Rebuild the seen-set from committed ``results`` urls.  The total
-        row count comes from the manifests' per-partition lineage (no
-        parquet touch).  Small resumes replay driver-side; past
+        """Rebuild the seen-set from committed ``results`` urls.  The files
+        and total row count come from the manifests' per-partition lineage
+        (no listing, no parquet footer).  Small resumes replay driver-side; past
         ``small_level_rows`` the replay is a distributed ``map_batches``
         over the results url column — every task routes its batch straight
         to the seen shards, so rebuild cost scales with the cluster instead
         of one driver process iterating 10^10 rows (the adds are idempotent
         and commutative, so block order is free).  Records the path taken
         in ``self.seen_replay_path`` for tests/metrics."""
-        files, total = [], 0
-        for k in levels:
-            files.extend(self.store.list_parts(self._lvl(k, "results")))
-            try:
-                with open(self._lvl(k, "manifest.json")) as f:
-                    man = json.load(f)
-                total += sum(p["rows"] for p in man["partitions"]["results"])
-            except (OSError, KeyError, json.JSONDecodeError):
-                total += self.store.count_rows(self._lvl(k, "results"))
+        lineage = [self._lineage(k, "results") for k in levels]
+        files = [f for level_files, _ in lineage for f in level_files]
+        total = sum(n for _, n in lineage)
         if not files:
             self.seen_replay_path = "empty"
             return
@@ -805,11 +797,6 @@ class CrawlEngine:
                 f"seen replay incomplete: {replayed} of {total} result urls"
             )
 
-    def _frontier_input(self, k_prev: int) -> tuple[list[str], int]:
-        """(files, total rows) of level ``k_prev``'s committed next frontier."""
-        files = self.store.list_parts(self._lvl(k_prev, "frontier_next"))
-        return files, sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-
     def _loop(self, start: int, seed_tbl: pa.Table | None = None) -> list[LevelMetrics]:
         cfg = self.cfg
         k = start
@@ -817,17 +804,16 @@ class CrawlEngine:
             if seed_tbl is not None and k == start:
                 n_frontier, files = seed_tbl.num_rows, None
             else:
-                files, n_frontier = self._frontier_input(k - 1)
+                files, n_frontier = self._lineage(k - 1, "frontier_next")
             if n_frontier == 0:
                 break
             if n_frontier <= cfg.small_level_rows:
-                if files is None:
-                    tbl = seed_tbl
-                elif files:
-                    tbl = pa.concat_tables(pq.read_table(f) for f in files)
-                else:
-                    tbl = FRONTIER_SCHEMA.empty_table()
-                n_next = self._run_level_small(k, tbl)
+                tbl = (
+                    seed_tbl
+                    if files is None
+                    else pa.concat_tables(pq.read_table(f) for f in files)
+                )
+                m = self._run_level_small(k, tbl)
             else:
                 # two regimes (A/B-measured): tiny levels are pure wave
                 # latency — one block ends the 90-tiny-task waves; real
@@ -843,8 +829,8 @@ class CrawlEngine:
                     if files is None
                     else ray.data.read_parquet(files, override_num_blocks=nb)
                 )
-                n_next = self._run_level_big(k, ds, n_frontier)
-            if n_next == 0:
+                m = self._run_level_big(k, ds, n_frontier)
+            if m.n_frontier_next == 0:
                 break
             if (
                 cfg.max_pages is not None
@@ -863,16 +849,18 @@ class CrawlEngine:
         bench scaling harness; semantics identical to the loop's levels.
         Pass ``n_frontier`` if known (from source metadata) to avoid a
         counting execution."""
+        self._check_corpus()
         os.makedirs(self.cfg.ckpt_dir, exist_ok=True)
         with self._ctx_overrides():
-            self._run_level_big(k, frontier, n_frontier)
-        return self.metrics[-1]
+            return self._run_level_big(k, frontier, n_frontier)
 
     # ----------------------------------------------------------- artifacts
+    def _results_files(self) -> list[str]:
+        """Every committed level's results parts, from the manifests."""
+        return [f for k in self.committed_levels() for f in self._lineage(k, "results")[0]]
+
     def results_dataset(self) -> Dataset:
-        files = []
-        for k in self.committed_levels():
-            files.extend(self.store.list_parts(self._lvl(k, "results")))
+        files = self._results_files()
         if not files:
             return ray.data.from_arrow(self.RESULTS_SCHEMA.empty_table())
         return ray.data.read_parquet(files)
@@ -880,9 +868,7 @@ class CrawlEngine:
     def outlinks_dataset(self) -> Dataset:
         """(src_url, url, host, in_scope, depth) — exploded on demand from
         the per-level results' outlinks list column (column-pruned read)."""
-        files = []
-        for k in self.committed_levels():
-            files.extend(self.store.list_parts(self._lvl(k, "results")))
+        files = self._results_files()
         if not files:
             return ray.data.from_arrow(self.OUTLINKS_SCHEMA.empty_table())
         ds = ray.data.read_parquet(files, columns=["url", "depth", "outlinks"])
@@ -898,11 +884,9 @@ class CrawlEngine:
     def visited_depth(self) -> dict[str, int]:
         """url → level fetched (for conformance tests; small corpora)."""
         out: dict[str, int] = {}
-        for k in self.committed_levels():
-            for f in self.store.list_parts(self._lvl(k, "results")):
-                t = pq.read_table(f, columns=["url", "depth"])
-                for u, d in zip(t["url"].to_pylist(), t["depth"].to_pylist()):
-                    out[u] = d
+        for f in self._results_files():
+            t = pq.read_table(f, columns=["url", "depth"])
+            out.update(zip(t["url"].to_pylist(), t["depth"].to_pylist()))
         return out
 
     def export_warc(self, out_dir: str, compress: bool = True) -> int:

@@ -18,12 +18,18 @@ from ray.data import Dataset
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
 
+def corpus_shard_count(path: str | None) -> int:
+    """Number of ``part_hash=NN/`` shard dirs under ``path`` (0 when it is
+    not a directory) — a partitioned corpus's ``num_shards``."""
+    if not path or not os.path.isdir(path):
+        return 0
+    return sum(d.startswith("part_hash=") for d in os.listdir(path))
+
+
 def is_partitioned_corpus(path: str | None) -> bool:
     """True when ``path`` is a directory holding ``part_hash=NN/`` shard
     dirs — the layout the partitioned fetch reads."""
-    return bool(path) and os.path.isdir(path) and any(
-        d.startswith("part_hash=") for d in os.listdir(path)
-    )
+    return corpus_shard_count(path) > 0
 
 
 def read_pages_partition_files(corpus_path: str) -> list[str]:

@@ -67,32 +67,37 @@ def extract_stage(ds: Dataset, depth: int, batch_size: int | None = None) -> Dat
     )
 
 
-def flatten_outlinks(ds: Dataset, domain: str) -> Dataset:
-    """Explode results.outlinks → (src_url, url, host, in_scope, depth).
+def outlinks_table(t: pa.Table, domain: str) -> pa.Table:
+    """Explode results rows (``url, depth, outlinks``) → one
+    (src_url, url, host, in_scope, depth) row per outlink.
 
     ``depth`` = src depth + 1 (the level the link would first be fetched).
     Vectorized: pyarrow list flatten + parent-index take, no Python loop
-    over links.
+    over links.  The table kernel behind ``flatten_outlinks`` and the
+    driver fast path's next frontier (pipelines/crawl.py).
     """
+    col = t["outlinks"].combine_chunks()
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = pc.list_flatten(col)
+    parents = pc.list_parent_indices(col)
+    src = pc.take(t["url"].combine_chunks(), parents)
+    depths = pc.add(pc.take(t["depth"].combine_chunks(), parents), 1).cast(pa.int32())
+    urls = flat.to_pylist()
+    # outlinks are cleaned urls by construction → vectorized host/scope
+    hosts_s = hosts_batch_cleaned(urls)
+    hosts = pa.array(hosts_s.tolist(), pa.string())
+    scope = pa.array(hosts_s.str.endswith(domain).fillna(False).to_numpy(dtype=bool))
+    return pa.Table.from_arrays(
+        [src, flat, hosts, scope, depths],
+        names=["src_url", "url", "host", "in_scope", "depth"],
+    )
+
+
+def flatten_outlinks(ds: Dataset, domain: str) -> Dataset:
+    """Explode results.outlinks per batch (``outlinks_table``)."""
 
     def _flat(t: pa.Table) -> pa.Table:
-        col = t["outlinks"].combine_chunks()
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = pc.list_flatten(col)
-        parents = pc.list_parent_indices(col)
-        src = pc.take(t["url"].combine_chunks(), parents)
-        depths = pc.add(pc.take(t["depth"].combine_chunks(), parents), 1).cast(pa.int32())
-        urls = flat.to_pylist()
-        # outlinks are cleaned urls by construction → vectorized host/scope
-        hosts_s = hosts_batch_cleaned(urls)
-        hosts = pa.array(hosts_s.tolist(), pa.string())
-        scope = pa.array(
-            hosts_s.str.endswith(domain).fillna(False).to_numpy(dtype=bool)
-        )
-        return pa.Table.from_arrays(
-            [src, flat, hosts, scope, depths],
-            names=["src_url", "url", "host", "in_scope", "depth"],
-        )
+        return outlinks_table(t, domain)
 
     return ds.map_batches(_flat, batch_format="pyarrow")

@@ -1,4 +1,4 @@
-"""Frontier construction + scope filtering (map_batches kernels).
+"""Frontier schema and construction.
 
 Frontier schema (SURVEY.md §1.2): ``url:string, host:string, depth:int32,
 priority:float64, discovered_from:string, seq:int64``.  ``host`` is
@@ -7,18 +7,14 @@ computed once here and reused as THE partitioning key by the scheduler;
 and drives per-host scheduling order ``(-priority, url, seq)``;
 ``discovered_from`` is the lexicographically-min referrer (lineage);
 ``seq`` is a deterministic intra-level tiebreak (url is already unique, so
-seq is the stable last-resort key).  Scope filtering reproduces the
-reference's suffix predicate exactly (/root/reference/crawler.py:24-26).
+seq is the stable last-resort key).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-import ray.data
-from ray.data import Dataset
 
-from ..urlnorm import hosts_batch, in_scope_batch
+from ..urlnorm import hosts_batch
 
 FRONTIER_SCHEMA = pa.schema(
     [
@@ -55,36 +51,3 @@ def frontier_table(
         ],
         schema=FRONTIER_SCHEMA,
     )
-
-
-def seeds_dataset(seed_urls: list[str], depth: int = 0) -> Dataset:
-    """Level-0 frontier from raw seed URL strings (the reference enqueues
-    the raw ``https://{domain}`` string, crawler.py:76 — no cleaning)."""
-    return ray.data.from_arrow(frontier_table(seed_urls, depth=depth))
-
-
-def add_host_column(ds: Dataset, url_col: str = "url") -> Dataset:
-    def _host(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "host", pa.array(list(hosts_batch(t[url_col].to_pylist())), pa.string())
-        )
-
-    return ds.map_batches(_host, batch_format="pyarrow")
-
-
-def scope_filter(ds: Dataset, domain: str, url_col: str = "url") -> Dataset:
-    """Keep rows whose netloc endswith(domain) — quirks included."""
-
-    def _scope(t: pa.Table) -> pa.Table:
-        mask = in_scope_batch(t[url_col].to_pylist(), domain)
-        return t.filter(pa.array(mask))
-
-    return ds.map_batches(_scope, batch_format="pyarrow")
-
-
-def scope_mask_column(ds: Dataset, domain: str, url_col: str, col: str) -> Dataset:
-    def _scope(t: pa.Table) -> pa.Table:
-        mask = in_scope_batch(t[url_col].to_pylist(), domain)
-        return t.append_column(col, pa.array(np.asarray(mask, dtype=bool)))
-
-    return ds.map_batches(_scope, batch_format="pyarrow")

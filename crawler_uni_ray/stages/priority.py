@@ -36,6 +36,12 @@ import pyarrow as pa
 
 PRIORITY_POLICIES = ("none", "indegree")
 
+
+def check_policy(policy: str) -> None:
+    """Raise on a priority policy name outside ``PRIORITY_POLICIES``."""
+    if policy not in PRIORITY_POLICIES:
+        raise ValueError(f"priority_policy must be one of {PRIORITY_POLICIES}: {policy!r}")
+
 # combine-input frame: FRONTIER columns + __cnt (partial indegree of new
 # discoveries; deferred rows carry __cnt = -1 and a real priority)
 _COMBINE_COLS = ["url", "host", "depth", "priority", "discovered_from", "__cnt"]

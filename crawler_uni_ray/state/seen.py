@@ -197,6 +197,12 @@ class CuckooFilter:
 _BACKENDS = {"exact": ExactSet, "bloom": BloomFilter, "cuckoo": CuckooFilter}
 
 
+def check_backend(backend: str) -> None:
+    """Raise on a seen backend name outside ``_BACKENDS``."""
+    if backend not in _BACKENDS:
+        raise ValueError(f"seen backend must be one of {sorted(_BACKENDS)}: {backend!r}")
+
+
 # CPU reservation of one seen shard: a 256-shard fleet shouldn't reserve
 # whole cores for what is mostly memory + short vectorized probes.  The
 # engine refuses a session that this leaves without 1 CPU for Ray Data
@@ -208,6 +214,7 @@ class SeenShard:
     """One shard of the distributed seen-set (``SHARD_CPUS`` each)."""
 
     def __init__(self, backend: str = "exact", n_bits: int = 1 << 27, k: int = 7):
+        check_backend(backend)
         if backend == "exact":
             self._b = ExactSet()
         elif backend == "cuckoo":
@@ -243,6 +250,7 @@ class ShardedSeen:
     it into tasks; only actor handles travel."""
 
     def __init__(self, num_shards: int = 8, backend: str = "exact", n_bits: int = 1 << 27):
+        check_backend(backend)  # on the caller, before any shard actor exists
         self.num_shards = num_shards
         self.shards = [
             SeenShard.remote(backend=backend, n_bits=n_bits) for _ in range(num_shards)
@@ -297,3 +305,11 @@ class ShardedSeen:
         afterwards (calls raise ``RayActorError``)."""
         for s in self.shards:
             ray.kill(s)
+        # ray.kill only sends the kill: a call made right after it can
+        # still run on the live actor, so return once every shard is gone
+        for s in self.shards:
+            while True:
+                try:
+                    ray.get(s.__ray_ready__.remote())
+                except ray.exceptions.RayActorError:
+                    break

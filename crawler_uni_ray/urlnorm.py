@@ -129,11 +129,6 @@ def hosts_batch_cleaned(urls) -> pd.Series:
     return s.str.extract(_NETLOC_RE, expand=False).fillna("")
 
 
-def in_scope_batch_cleaned(urls, domain: str) -> np.ndarray:
-    hosts = hosts_batch_cleaned(urls)
-    return hosts.str.endswith(domain).fillna(False).to_numpy(dtype=bool)
-
-
 def url_hash_batch(urls, seed: str = "0123456789abcdef") -> np.ndarray:
     """Deterministic vectorized uint64 hash of URL strings (siphash via
     pandas).  Used for seen-set sharding, bloom probes and hash-partition

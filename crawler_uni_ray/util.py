@@ -27,7 +27,9 @@ def ensure_worker_thread_limits(cpu: int = 1, io: int = 2) -> None:
     read/decompress then ANTI-scales with cluster size.  Call this at the
     top of every I/O-heavy batch kernel (idempotent, once per process)."""
     global _THREADS_TUNED
-    if _THREADS_TUNED:
+    # without a session there is no task to cap, and get_runtime_context()
+    # would start one (library code never starts Ray)
+    if _THREADS_TUNED or not ray.is_initialized():
         return
     try:  # only cap inside Ray tasks/actors — never throttle the driver
         if ray.get_runtime_context().get_task_id() is None:

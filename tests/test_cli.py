@@ -69,6 +69,31 @@ def test_cli_end_to_end(tmp_path, layout):
         assert f.read() == want  # byte-identical links.txt
 
 
+def test_cli_takes_shard_count_from_partitioned_corpus(tmp_path):
+    """A partitioned corpus keeps its own shard count: 16 part_hash dirs
+    crawl completely with no --num-corpus-shards (the default 8 would miss
+    every page hashed to shards 8-15)."""
+    corpus_dir = str(tmp_path / "corpus")
+    write_corpus_parquet(TINY, corpus_dir, num_shards=16)
+    out = str(tmp_path / "links.txt")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "crawler_uni_ray", "--domain", "example.com",
+            "--corpus", corpus_dir, "--ckpt", str(tmp_path / "ckpt"),
+            "--out", out, "--num-cpus", "4", "--quiet",
+        ],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=420,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    tbl = build_pages_table(TINY)
+    oracle = crawl_oracle(dict(zip(tbl["url"].to_pylist(), tbl["html"].to_pylist())), "example.com")
+    with open(out, encoding="utf-8") as f:
+        assert f.read() == "".join(f"{u}\n" for u in oracle.sorted_links)
+
+
 def test_cli_requires_corpus(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "crawler_uni_ray", "--domain", "x.com", "--ckpt", str(tmp_path)],

@@ -239,6 +239,60 @@ def test_partitioned_corpus_written_after_construction(ray_session, tiny_corpus,
     assert eng.visited_depth() == want
 
 
+@pytest.mark.parametrize(
+    "field,value", [("seen_backend", "Exact"), ("priority_policy", "pagerank")]
+)
+def test_unknown_backend_or_policy_rejected_at_construction(
+    ray_session, monkeypatch, tiny_corpus, tmp_path, field, value
+):
+    """An unknown seen backend (once silently a bloom filter) or priority
+    policy (once silently "none") raises ValueError before any seen-shard
+    actor exists."""
+    from crawler_uni_ray.state import seen
+
+    class _NoShard:
+        @staticmethod
+        def remote(*a, **kw):
+            raise AssertionError("seen shard built for an invalid config")
+
+    monkeypatch.setattr(seen, "SeenShard", _NoShard)
+    cfg = CrawlConfig(
+        domain=DOMAIN, ckpt_dir=str(tmp_path / "c"), corpus_dict=tiny_corpus
+    )
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=value):
+        CrawlEngine(cfg)
+    if field == "priority_policy":
+        with pytest.raises(ValueError, match=value):
+            crawl_oracle(tiny_corpus, DOMAIN, priority_policy=value)
+
+
+def test_corpus_checked_when_the_crawl_starts(ray_session, tmp_path):
+    """A missing partitioned corpus, or one whose part_hash dir count is
+    not num_corpus_shards (a 16-shard corpus fetched as 8 silently missed
+    12 of TINY's 25 pages), raises ValueError at run, resume and
+    process_frontier — before any Ray execution or checkpoint change."""
+    import ray.data
+
+    from crawler_uni_ray.stages.frontier import frontier_table
+
+    corpus_dir = str(tmp_path / "corpus")
+    eng = CrawlEngine(
+        CrawlConfig(domain=DOMAIN, ckpt_dir=str(tmp_path / "c"), corpus_path=corpus_dir)
+    )
+    try:
+        with pytest.raises(ValueError, match="holds 0 part_hash"):
+            eng.run()
+        write_corpus_parquet(TINY, corpus_dir, num_shards=16)
+        seed = ray.data.from_arrow(frontier_table([f"https://{DOMAIN}"]))
+        for start in (eng.run, eng.resume, lambda: eng.process_frontier(seed)):
+            with pytest.raises(ValueError, match="holds 16 part_hash"):
+                start()
+        assert eng.metrics == [] and eng.seen.total_size() == 0
+    finally:
+        eng.close()
+
+
 def test_too_many_seen_shards_for_session(ray_session, no_shards, tiny_corpus, tmp_path):
     """13 shards × 0.25 CPU leave 0.75 of the session's 4 CPUs: no Ray
     Data task could ever run, so the engine refuses at construction
